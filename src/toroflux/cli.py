@@ -105,7 +105,10 @@ def cmd_sweep_permeance(args: argparse.Namespace) -> int:
     if args.family is not None:
         if fixed:
             raise UsageError("--family replaces --ro; do not combine with --ro/--t/--ri")
-        families = [float(s) for s in args.family.split(",") if s]
+        try:
+            families = [float(s) for s in args.family.split(",") if s]
+        except ValueError:
+            families = []  # a non-number: rejected below like an empty list
         if not families or any(not (math.isfinite(f) and f > 0.0) for f in families):
             raise UsageError(f"--family must be positive r_o/R ratios, got {args.family!r}")
     else:

@@ -9,6 +9,7 @@ is SI: radii in meters, permeance in henry.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 
@@ -25,6 +26,22 @@ class DomainError(ValueError):
 
 class UsageError(ValueError):
     """An operation was invoked with an unsupported combination of arguments."""
+
+
+def finite_positive(name: str, value: object, allow_zero: bool = False) -> float:
+    """``value`` as a Python float, or :class:`DomainError` unless it is finite and > 0.
+
+    ``allow_zero`` admits 0 as well.  Any real number is accepted, numpy real
+    scalars included, except ``bool``, which is a flag rather than a length.
+    """
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, (int, float, numbers.Real)):
+            raise DomainError(f"{name} must be a real number, got {value!r}")
+        value = float(value)
+    if not (math.isfinite(value) and (value > 0.0 or (allow_zero and value == 0.0))):
+        bound = "non-negative" if allow_zero else "positive"
+        raise DomainError(f"{name} must be finite and {bound}, got {value!r}")
+    return value
 
 
 class FluxTubeKind(Enum):
@@ -71,7 +88,8 @@ class TorusGeometry:
     """Defining radii of a hollow-toroid flux tube, all in meters.
 
     ``r_o < r_i`` is representable (a sweep may drive a tube out of
-    existence); use :func:`validate` to test whether a tube exists.
+    existence); use :func:`validate` to test whether a tube exists.  The radii
+    are stored as Python floats.
     """
 
     R: float
@@ -80,9 +98,7 @@ class TorusGeometry:
 
     def __post_init__(self) -> None:
         for name in ("R", "r_i", "r_o"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0):
-                raise DomainError(f"{name} must be finite and positive, got {v!r}")
+            object.__setattr__(self, name, finite_positive(name, getattr(self, name)))
 
     def scaled(self, c: float) -> "TorusGeometry":
         return TorusGeometry(c * self.R, c * self.r_i, c * self.r_o)
@@ -203,15 +219,11 @@ def validate(kind: FluxTubeKind, geom: TorusGeometry) -> ExistenceReport:
     A tube ceases to exist when ``r_o <= r_i``; inner-side tubes additionally
     cease to exist when ``r_o > R`` (they would intersect the axis side).
     Nonexistence is a normal state, not an error: force sweeps pass through it.
+    An existing inner tube has eta > 1 analytically; the permeance shape
+    table raises :class:`DomainError` should one ever be classified SUB.
     """
     if geom.r_o <= geom.r_i:
         return ExistenceReport(False, "vanished: r_o <= r_i")
     if kind.is_inner and geom.r_o > geom.R:
         return ExistenceReport(False, "inner tube would self-intersect: r_o > R")
-    if kind.is_inner:
-        # Analytically eta > 1 whenever r_i < r_o <= R; the closed unit window
-        # can still absorb nearly degenerate tubes, but SUB cannot occur.
-        branch = derive(geom).branch
-        if branch is BranchCase.SUB:  # pragma: no cover - analytically impossible
-            raise RuntimeError(f"inner tube classified SUB for {geom!r}")
     return ExistenceReport(True)

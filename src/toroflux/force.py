@@ -11,8 +11,28 @@ holds constant:
 * ``CONST_INNER_RADIUS`` - r_i fixed, r_o = s follows the stroke
   (quarter tubes only; e.g. a plunger entering a cylindrical hole).
 
-Quarter tubes driven in a gap mode develop quadruple the half-tube force:
-twice the magnetic field strength acts on twice the distortion per stroke.
+With G_m = G_m0 f(eta) and G_m0 = pi mu0 t, every gradient is one chain rule
+on the (f, f') pair of :mod:`toroflux.permeance`, for the motion coordinate v:
+
+    dG_m/dv = G_m0 [(dt/dv)/t f + f' deta/dv]
+
+with the partials of each mode:
+
+============  =========  ========================
+mode          dt/dv      deta/dv
+============  =========  ========================
+const-ro (g)  -1/2       (eta - R/r_i) / (2t)
+const-t (g)   0          -R / (2 r_i r_o)
+const-ri (s)  1          (R/r_o - eta) / t
+============  =========  ========================
+
+A quarter has twice the (f, f') of its half, so its permeance and its stroke
+gradient are twice the half's.  Driven in a gap mode it develops quadruple
+the half-tube force: twice the magnetic field strength acts on twice the
+distortion per stroke, so the gap gradient is doubled once more.  Inside the
+unit window the outer tubes take everything at eta = 1: (f, f') = (1, 2/3),
+the partials at eta = 1, and for the gap modes the documented closed forms
+-G_m0 (1 + 2R/r_i) / (6t) (const-ro) and -G_m0 R / (3 r_i r_o) (const-t).
 Lower-half tubes do not generate force in axisymmetric motion.
 """
 
@@ -30,9 +50,10 @@ from .core import (
     TorusGeometry,
     UsageError,
     derive,
+    finite_positive,
     validate,
 )
-from .permeance import LegacyCylinderSpec, legacy_half_hollow_cylinder
+from .permeance import LegacyCylinderSpec, _shape, legacy_half_hollow_cylinder
 from .permeance import permeance as _closed_permeance
 
 GM_FLOOR = 1.0e-15
@@ -61,10 +82,12 @@ _ALLOWED_MODES: dict[FluxTubeKind, frozenset[DriveMode]] = {
     FluxTubeKind.LOWER_HALF: frozenset(),
 }
 
-_HALF_OF = {
-    FluxTubeKind.INNER_QUARTER: FluxTubeKind.INNER_HALF,
-    FluxTubeKind.OUTER_QUARTER: FluxTubeKind.OUTER_HALF,
+_FIXED_BY_MODE = {
+    DriveMode.CONST_OUTER_RADIUS: "r_o",
+    DriveMode.CONST_THICKNESS: "t",
+    DriveMode.CONST_INNER_RADIUS: "r_i",
 }
+"""The ActuatorSweepSpec field each drive mode holds constant."""
 
 
 def allowed_modes(kind: FluxTubeKind) -> frozenset[DriveMode]:
@@ -117,11 +140,7 @@ class ActuatorSweepSpec:
             raise UsageError(f"samples must be >= 2, got {self.samples!r}")
         if not math.isfinite(self.theta):
             raise UsageError(f"theta must be finite, got {self.theta!r}")
-        needed = {
-            DriveMode.CONST_OUTER_RADIUS: "r_o",
-            DriveMode.CONST_THICKNESS: "t",
-            DriveMode.CONST_INNER_RADIUS: "r_i",
-        }[self.mode]
+        needed = _FIXED_BY_MODE[self.mode]
         fixed = getattr(self, needed)
         if fixed is None or not (math.isfinite(fixed) and fixed > 0.0):
             raise UsageError(f"mode {self.mode.value} requires positive fixed {needed}")
@@ -132,11 +151,19 @@ class ActuatorSweepSpec:
 
     def geometry_at(self, value: float) -> TorusGeometry:
         """Geometry at one sample of the swept variable (gap or stroke)."""
-        if self.mode is DriveMode.CONST_OUTER_RADIUS:
-            return TorusGeometry(self.R, value / 2.0, self.r_o)
-        if self.mode is DriveMode.CONST_THICKNESS:
-            return TorusGeometry(self.R, value / 2.0, value / 2.0 + self.t)
-        return TorusGeometry(self.R, self.r_i, value)
+        return _geometry_at(self.mode, self.R, getattr(self, _FIXED_BY_MODE[self.mode]), value)
+
+
+def _geometry_at(mode: DriveMode, R: float, fixed: float, value: float) -> TorusGeometry:
+    """Geometry at ``value`` of the swept variable: the gap g = 2 r_i or the stroke s = r_o.
+
+    ``fixed`` is the quantity ``mode`` holds constant: r_o, t or r_i.
+    """
+    if mode is DriveMode.CONST_OUTER_RADIUS:
+        return TorusGeometry(R, value / 2.0, fixed)
+    if mode is DriveMode.CONST_THICKNESS:
+        return TorusGeometry(R, value / 2.0, value / 2.0 + fixed)
+    return TorusGeometry(R, fixed, value)
 
 
 @dataclass(frozen=True)
@@ -157,72 +184,34 @@ class ForceSweepRow:
     exists: bool
 
 
-def _super_bracket_terms(eta: float, alpha_minus_or_plus: float, sign: float) -> float:
-    # (eta/x + sign / (eta*alpha)) with x = sqrt(eta^2-1); sign +1 pairs with
-    # alpha_plus (inner), -1 with alpha_minus (outer).
-    x = math.sqrt(eta * eta - 1.0)
-    return eta / x + sign / (eta * alpha_minus_or_plus)
+def _closed_forms(kind: FluxTubeKind, mode: DriveMode, geom: TorusGeometry) -> tuple[float, float]:
+    """(G_m, dG_m/dv) of an existing tube from one derive and one (f, f') lookup.
 
-
-def _grad_inner_half(mode: DriveMode, geom: TorusGeometry) -> float:
+    The chain rule of the module docstring, factored as
+    (G_m0/t) [dt/dv f + f' t deta/dv]; a gap-driven quarter doubles it once more.
+    """
     d = derive(geom)
-    if d.branch is BranchCase.SUB:  # unreachable for an existing inner tube
-        raise DomainError(f"inner tube on SUB branch: eta={d.eta!r}")
-    eta = d.eta
-    x = math.sqrt(max(eta * eta - 1.0, 0.0))
-    if x == 0.0:
-        # Tube thickness at rounding level; the gradient limit is zero.
-        return 0.0
-    alpha_plus = d.alpha_plus if d.alpha_plus is not None else math.pi - math.atan(x)
-    paired = eta / x + 1.0 / (eta * alpha_plus)
-    if mode is DriveMode.CONST_OUTER_RADIUS:
-        return -(d.gm0 / (2.0 * d.t * alpha_plus)) * (x - paired * (eta - geom.R / geom.r_i))
-    return -(d.gm0 / (2.0 * geom.r_o * alpha_plus)) * paired * (geom.R / geom.r_i)
-
-
-def _grad_outer_half(mode: DriveMode, geom: TorusGeometry) -> float:
-    d = derive(geom)
-    eta = d.eta
-    if d.branch is BranchCase.SUPER:
-        x = math.sqrt(eta * eta - 1.0)
-        paired = eta / x - 1.0 / (eta * d.alpha_minus)
+    f, fp = _shape(kind, d)
+    gm, t, eta = d.gm0 * f, d.t, d.eta
+    R, r_i, r_o = geom.R, geom.r_i, geom.r_o
+    scale = 2.0 if kind.is_quarter and mode in _GAP_MODES else 1.0
+    if kind.is_outer and d.branch is BranchCase.UNIT:
+        # The partials are taken at eta = 1, like (f, f').  The gap modes keep
+        # the documented eta = 1 forms verbatim, which the chain rule
+        # reproduces only to rounding; f is 1 (half) or 2 (quarter).
+        eta = 1.0
         if mode is DriveMode.CONST_OUTER_RADIUS:
-            return -(d.gm0 / (2.0 * d.t)) * (x - paired * (eta - geom.R / geom.r_i)) / d.alpha_minus
-        return -(d.gm0 * geom.R / (geom.r_i * geom.r_o)) * paired / (2.0 * d.alpha_minus)
-    if d.branch is BranchCase.UNIT:
-        if mode is DriveMode.CONST_OUTER_RADIUS:
-            return -(d.gm0 / (2.0 * d.t)) * (1.0 + 2.0 * geom.R / geom.r_i) / 3.0
-        return -(d.gm0 * geom.R) / (3.0 * geom.r_i * geom.r_o)
-    y = math.sqrt((1.0 - eta) * (1.0 + eta))
-    paired = 2.0 / (eta * d.lam) - eta / y
+            return gm, scale * f * (-(d.gm0 / (2.0 * t)) * (1.0 + 2.0 * R / r_i) / 3.0)
+        if mode is DriveMode.CONST_THICKNESS:
+            return gm, scale * f * (-(d.gm0 * R) / (3.0 * r_i * r_o))
+    # The mode's partials (dt/dv, t deta/dv).
     if mode is DriveMode.CONST_OUTER_RADIUS:
-        return -(d.gm0 / (2.0 * d.t)) * (2.0 / d.lam) * (y - paired * (eta - geom.R / geom.r_i))
-    return -(d.gm0 * geom.R / (geom.r_i * geom.r_o)) * paired / d.lam
-
-
-def _grad_quarter_stroke(kind: FluxTubeKind, geom: TorusGeometry) -> float:
-    # d(G_m)/ds of the quarter permeance with r_i fixed and s = r_o.
-    d = derive(geom)
-    eta = d.eta
-    ratio = geom.R / geom.r_o
-    if kind is FluxTubeKind.INNER_QUARTER:
-        if d.branch is BranchCase.SUB:  # unreachable for an existing inner tube
-            raise DomainError(f"inner tube on SUB branch: eta={d.eta!r}")
-        x = math.sqrt(max(eta * eta - 1.0, 0.0))
-        if x == 0.0:
-            return 0.0
-        alpha_plus = d.alpha_plus if d.alpha_plus is not None else math.pi - math.atan(x)
-        paired = eta / x + 1.0 / (eta * alpha_plus)
-        return (2.0 * d.gm0 / (d.t * alpha_plus)) * (x + paired * (ratio - eta))
-    if d.branch is BranchCase.SUPER:
-        x = math.sqrt(eta * eta - 1.0)
-        paired = eta / x - 1.0 / (eta * d.alpha_minus)
-        return (2.0 * d.gm0 / d.t) * (x + paired * (ratio - eta)) / d.alpha_minus
-    if d.branch is BranchCase.UNIT:
-        return (2.0 * d.gm0 / d.t) * (1.0 + (2.0 / 3.0) * (ratio - 1.0))
-    y = math.sqrt((1.0 - eta) * (1.0 + eta))
-    paired = 2.0 / (eta * d.lam) - eta / y
-    return (2.0 * d.gm0 / d.t) * (2.0 / d.lam) * (y + paired * (ratio - eta))
+        dt, t_deta = -0.5, 0.5 * (eta - R / r_i)
+    elif mode is DriveMode.CONST_THICKNESS:
+        dt, t_deta = 0.0, -t * R / (2.0 * r_i * r_o)
+    else:
+        dt, t_deta = 1.0, R / r_o - eta
+    return gm, scale * (d.gm0 / t) * (dt * f + fp * t_deta)
 
 
 def permeance_gradient(kind: FluxTubeKind, mode: DriveMode, geom: TorusGeometry) -> float:
@@ -235,20 +224,9 @@ def permeance_gradient(kind: FluxTubeKind, mode: DriveMode, geom: TorusGeometry)
     """
     if mode not in allowed_modes(kind):
         raise UsageError(f"mode {mode.value} not allowed for kind {kind.value}")
-    if geom.r_o <= geom.r_i:
+    if not validate(kind, geom).exists:
         return 0.0
-    if kind.is_inner and geom.r_o > geom.R:
-        return 0.0
-    if kind.is_quarter and mode in _GAP_MODES:
-        half = _HALF_OF[kind]
-        if half is FluxTubeKind.INNER_HALF:
-            return 4.0 * _grad_inner_half(mode, geom)
-        return 4.0 * _grad_outer_half(mode, geom)
-    if mode is DriveMode.CONST_INNER_RADIUS:
-        return _grad_quarter_stroke(kind, geom)
-    if kind is FluxTubeKind.INNER_HALF:
-        return _grad_inner_half(mode, geom)
-    return _grad_outer_half(mode, geom)
+    return _closed_forms(kind, mode, geom)[1]
 
 
 def force(vm: float, kind: FluxTubeKind, mode: DriveMode, geom: TorusGeometry) -> ForceResult:
@@ -270,8 +248,7 @@ def force(vm: float, kind: FluxTubeKind, mode: DriveMode, geom: TorusGeometry) -
         return ForceResult(F=0.0, dGm=0.0, Gm=max(gm, GM_FLOOR), exists=True)
     if not validate(kind, geom).exists:
         return ForceResult(F=0.0, dGm=0.0, Gm=GM_FLOOR, exists=False)
-    dgm = permeance_gradient(kind, mode, geom)
-    gm = _closed_permeance(kind, geom).value
+    gm, dgm = _closed_forms(kind, mode, geom)
     return ForceResult(F=0.5 * vm * vm * dgm, dGm=dgm, Gm=max(gm, GM_FLOOR), exists=True)
 
 
@@ -283,9 +260,7 @@ def legacy_gradient(w: float, t: float, g: float) -> float:
     The constant width is the legacy model's systematic neglect of the tube
     widening with the gap.
     """
-    for name, v in (("w", w), ("t", t), ("g", g)):
-        if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0):
-            raise DomainError(f"{name} must be finite and positive, got {v!r}")
+    w, t, g = finite_positive("w", w), finite_positive("t", t), finite_positive("g", g)
     return -(MU0 * w / math.pi) * 2.0 * t / (g * (g + 2.0 * t))
 
 

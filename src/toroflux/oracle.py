@@ -25,7 +25,7 @@ from .core import (
     UsageError,
     validate,
 )
-from .force import DriveMode, allowed_modes
+from .force import DriveMode, _geometry_at, allowed_modes
 from .permeance import permeance as _closed_permeance
 
 
@@ -196,19 +196,12 @@ def slice_permeance_quadrature(geom: TorusGeometry, theta: float, sign: int) -> 
     return 2.0 * math.pi * MU0 * total
 
 
-def _driving_value(mode: DriveMode, geom: TorusGeometry) -> float:
+def _fixed_and_driving(mode: DriveMode, geom: TorusGeometry) -> tuple[float, float]:
+    # The quantity the mode holds constant, and the swept gap or stroke.
     if mode is DriveMode.CONST_INNER_RADIUS:
-        return geom.r_o
-    return 2.0 * geom.r_i
-
-
-def _geometry_at(mode: DriveMode, geom: TorusGeometry, value: float) -> TorusGeometry:
-    if mode is DriveMode.CONST_OUTER_RADIUS:
-        return TorusGeometry(geom.R, value / 2.0, geom.r_o)
-    if mode is DriveMode.CONST_THICKNESS:
-        t = geom.r_o - geom.r_i
-        return TorusGeometry(geom.R, value / 2.0, value / 2.0 + t)
-    return TorusGeometry(geom.R, geom.r_i, value)
+        return geom.r_i, geom.r_o
+    fixed = geom.r_o if mode is DriveMode.CONST_OUTER_RADIUS else geom.r_o - geom.r_i
+    return fixed, 2.0 * geom.r_i
 
 
 def central_difference(
@@ -245,19 +238,19 @@ def gradient_fd(
         raise UsageError(f"mode {mode.value} not allowed for kind {kind.value}")
     if permeance_fn is None:
         permeance_fn = lambda k, g: _closed_permeance(k, g).value
-    v = _driving_value(mode, geom)
+    fixed, v = _fixed_and_driving(mode, geom)
     if h is None:
         h = max(1.0e-6 * v, 1.0e-9)
     base_exists = validate(kind, geom).exists
     for dv in (-h, -0.5 * h, 0.5 * h, h):
-        probe = _geometry_at(mode, geom, v + dv)
+        probe = _geometry_at(mode, geom.R, fixed, v + dv)
         if validate(kind, probe).exists != base_exists:
             raise BoundaryError(
                 f"stencil straddles an existence boundary at {mode.value} value {v + dv!r}"
             )
 
     def perm_at(value: float) -> float:
-        return permeance_fn(kind, _geometry_at(mode, geom, value))
+        return permeance_fn(kind, _geometry_at(mode, geom.R, fixed, value))
 
     d_h = central_difference(perm_at, v, h)
     d_h2 = central_difference(perm_at, v, 0.5 * h)

@@ -1,22 +1,31 @@
 """Closed-form permeance of hollow-toroid flux tubes plus the legacy approximations.
 
-The permeance of each tube is ``G_m0`` times a dimensionless shape factor in
-eta = (R/t) ln(r_o/r_i):
+The permeance of each tube is G_m = G_m0 f(eta), with G_m0 = pi mu0 t and a
+dimensionless shape factor f of eta = (R/t) ln(r_o/r_i).  One private table,
+``_shape``, gives f and f' = df/deta per kind and branch; the force gradients
+of :mod:`toroflux.force` are a chain rule on the same pair.  With
+x = sqrt(eta^2-1), y = sqrt(1-eta^2), lambda = ln((1+y)/(1-y)),
+alpha_minus = atan(x) and alpha_plus = pi - atan(x):
 
-==================  =============================  ==========  ==============================
-kind                eta > 1                        eta = 1     eta < 1
-==================  =============================  ==========  ==============================
-inner half          sqrt(eta^2-1) / alpha_plus     (vanishes)  (cannot occur)
-outer half          sqrt(eta^2-1) / alpha_minus    1           2 sqrt(1-eta^2) / lambda
-lower half          sqrt(eta^2-1) / (pi/2)         (vanishes)  (tube does not exist)
-quarters            twice the matching half
-==================  =============================  ==========  ==============================
+==========  ===========  ===========================================
+kind        branch       f;  f'
+==========  ===========  ===========================================
+inner half  eta > 1      x/alpha_plus;  (eta/x + 1/(eta alpha_plus)) / alpha_plus
+inner half  eta < 1      (cannot occur)
+outer half  eta > 1      x/alpha_minus;  (eta/x - 1/(eta alpha_minus)) / alpha_minus
+outer half  eta = 1      1;  2/3
+outer half  eta < 1      2y/lambda;  (2/lambda) (2/(eta lambda) - eta/y)
+lower half  eta > 1      x/(pi/2);  (eta/x) / (pi/2)
+lower half  eta < 1      (tube does not exist: DomainError)
+quarters    any          twice the (f, f') of the matching half
+==========  ===========  ===========================================
 
 The outer branches merge continuously at eta = 1 where both tend to G_m0
 (evaluating either branch there is 0/0, hence the reserved unit window).
 Inner-side tubes reach eta -> 1 only as r_i -> r_o with r_o -> R, where the
 tube itself vanishes; inside the unit window they are evaluated with the
-single eta > 1 form and a clamped sqrt(max(eta^2-1, 0)).
+single eta > 1 form and a clamped sqrt(max(eta^2-1, 0)), and (f, f') = (0, 0)
+where that clamp gives x = 0.
 """
 
 from __future__ import annotations
@@ -32,6 +41,7 @@ from .core import (
     FluxTubeKind,
     TorusGeometry,
     derive,
+    finite_positive,
     validate,
 )
 
@@ -53,25 +63,36 @@ class LegacyCylinderSpec:
     r_i: float
 
     def __post_init__(self) -> None:
-        for name, positive in (("w", True), ("t", False), ("r_i", True)):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
-                raise DomainError(f"{name} must be finite, got {v!r}")
-            if v < 0.0 or (positive and v == 0.0):
-                raise DomainError(f"{name} must be positive, got {v!r}")
+        for name, allow_zero in (("w", False), ("t", True), ("r_i", False)):
+            value = finite_positive(name, getattr(self, name), allow_zero)
+            object.__setattr__(self, name, value)
 
 
-def _half_shape_factor(kind: FluxTubeKind, d: DerivedQuantities) -> float:
-    """G_m / G_m0 for a half torus (the quarters double this)."""
+_HALF_OF = {
+    FluxTubeKind.INNER_QUARTER: FluxTubeKind.INNER_HALF,
+    FluxTubeKind.OUTER_QUARTER: FluxTubeKind.OUTER_HALF,
+}
+
+
+def _shape(kind: FluxTubeKind, d: DerivedQuantities) -> tuple[float, float]:
+    """(f, f') of the tube on d's branch: G_m = G_m0 f(eta) and f' = df/deta.
+
+    A quarter has twice the (f, f') of its half.  An inner-side or lower-half
+    tube on the SUB branch raises :class:`DomainError`.
+    """
+    half = _HALF_OF.get(kind)
+    if half is not None:
+        f, fp = _shape(half, d)
+        return 2.0 * f, 2.0 * fp
     eta = d.eta
     if kind is FluxTubeKind.OUTER_HALF:
         if d.branch is BranchCase.SUPER:
             x = math.sqrt(eta * eta - 1.0)
-            return x / d.alpha_minus
+            return x / d.alpha_minus, (eta / x - 1.0 / (eta * d.alpha_minus)) / d.alpha_minus
         if d.branch is BranchCase.UNIT:
-            return 1.0
+            return 1.0, 2.0 / 3.0
         y = math.sqrt((1.0 - eta) * (1.0 + eta))
-        return 2.0 * y / d.lam
+        return 2.0 * y / d.lam, (2.0 / d.lam) * (2.0 / (eta * d.lam) - eta / y)
     if d.branch is BranchCase.SUB:
         raise DomainError(
             f"{kind.value} tube requires eta > 1, got eta={eta!r} "
@@ -80,16 +101,13 @@ def _half_shape_factor(kind: FluxTubeKind, d: DerivedQuantities) -> float:
     # SUPER or UNIT; within the unit window the tube is nearly degenerate and
     # the single closed form stays numerically safe (no cancelling denominator).
     x = math.sqrt(max(eta * eta - 1.0, 0.0))
+    if x == 0.0:
+        # Thickness at rounding level: f' diverges like 1/x, but G_m0 f' -> 0.
+        return 0.0, 0.0
     if kind is FluxTubeKind.LOWER_HALF:
-        return x / (0.5 * math.pi)
+        return x / (0.5 * math.pi), eta / x / (0.5 * math.pi)
     alpha_plus = d.alpha_plus if d.alpha_plus is not None else math.pi - math.atan(x)
-    return x / alpha_plus
-
-
-_HALF_OF = {
-    FluxTubeKind.INNER_QUARTER: FluxTubeKind.INNER_HALF,
-    FluxTubeKind.OUTER_QUARTER: FluxTubeKind.OUTER_HALF,
-}
+    return x / alpha_plus, (eta / x + 1.0 / (eta * alpha_plus)) / alpha_plus
 
 
 def permeance(kind: FluxTubeKind, geom: TorusGeometry) -> Permeance:
@@ -103,11 +121,7 @@ def permeance(kind: FluxTubeKind, geom: TorusGeometry) -> Permeance:
     if not validate(kind, geom).exists:
         return Permeance(0.0, exists=False)
     d = derive(geom)
-    half_kind = _HALF_OF.get(kind)
-    if half_kind is not None:
-        # A quarter tube has half the reluctance of the matching half tube.
-        return Permeance(2.0 * (d.gm0 * _half_shape_factor(half_kind, d)))
-    return Permeance(d.gm0 * _half_shape_factor(kind, d))
+    return Permeance(d.gm0 * _shape(kind, d)[0])
 
 
 def reluctance(kind: FluxTubeKind, geom: TorusGeometry) -> float:

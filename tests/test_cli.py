@@ -121,6 +121,13 @@ def test_sweep_permeance_needs_exactly_one_fixed(tmp_path, capsys):
     assert rc == 2
 
 
+def test_sweep_permeance_non_numeric_family_is_usage_error(capsys):
+    rc = main(["sweep-permeance", "--kind", "inner-half", "--R", "0.001",
+               "--family", "0.5,abc", "--range", "log:0.01:1.0:5"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: --family")
+
+
 def test_sweep_force_default_is_reference_comparison(tmp_path):
     out = tmp_path / "force.csv"
     assert main(["sweep-force", "--out", str(out)]) == 0

@@ -58,6 +58,33 @@ def test_geometry_rejects_nonpositive_radii(bad):
         TorusGeometry(1.0, 0.1, bad)
 
 
+def test_inputs_reject_bool():
+    from toroflux import LegacyCylinderSpec, legacy_gradient
+
+    with pytest.raises(DomainError):
+        TorusGeometry(True, 0.2, 0.5)
+    with pytest.raises(DomainError):
+        LegacyCylinderSpec(0.05, True, 0.01)
+    with pytest.raises(DomainError):
+        legacy_gradient(0.05, 0.004, True)
+
+
+def test_inputs_accept_numpy_scalars_as_float():
+    import numpy as np
+
+    from toroflux import LegacyCylinderSpec, legacy_gradient
+
+    geom = TorusGeometry(np.float32(1.0), np.float32(0.25), np.float64(0.5))
+    assert all(type(v) is float for v in (geom.R, geom.r_i, geom.r_o))
+    assert geom == TorusGeometry(1.0, 0.25, 0.5)
+    spec = LegacyCylinderSpec(np.float32(0.5), np.float32(0.0), np.int64(1))
+    assert (spec.w, spec.t, spec.r_i) == (0.5, 0.0, 1.0)
+    assert all(type(v) is float for v in (spec.w, spec.t, spec.r_i))
+    assert legacy_gradient(np.float32(0.5), np.float32(0.25), np.float32(0.125)) == (
+        legacy_gradient(0.5, 0.25, 0.125)
+    )
+
+
 def test_classify_branch_examples():
     assert classify_branch(1.386294) is BranchCase.SUPER
     assert classify_branch(1.0000005) is BranchCase.UNIT

@@ -135,6 +135,32 @@ def test_inner_quarter_freeze_past_pole_radius():
     assert not res2.exists and res2.Gm == GM_FLOOR
 
 
+def test_force_agrees_bitwise_with_permeance_and_gradient():
+    R, r_i = 0.02, 0.01
+    geoms = [
+        TorusGeometry(R, r_i, solve_ro_for_eta(R, r_i, 1.0 + 1e-3)),  # SUPER
+        TorusGeometry(R, r_i, solve_ro_for_eta(R, r_i, 1.0 + 5e-7)),  # UNIT
+        TorusGeometry(R, r_i, solve_ro_for_eta(R, r_i, 1.0 - 5e-7)),  # UNIT
+        TorusGeometry(R, r_i, solve_ro_for_eta(R, r_i, 1.0 - 1e-3)),  # SUB
+        TorusGeometry(1.0, 0.5, 0.4),  # vanished
+        TorusGeometry(1.0, 0.5, 0.5),  # degenerate
+        TorusGeometry(1.0, 0.2, 1.3),  # inner tubes past r_o = R; inner quarter frozen
+        TorusGeometry(0.1, 0.2, 0.3),  # frozen inner quarter vanished too
+    ]
+    assert {derive(g).branch for g in geoms[:4]} == set(BranchCase)
+    for kind in FluxTubeKind:
+        for mode in allowed_modes(kind):
+            for geom in geoms + sample_geometries(kind, 20, seed=508):
+                res = force(1.5, kind, mode, geom)
+                if kind.is_inner and mode is DriveMode.CONST_INNER_RADIUS and geom.r_o > geom.R:
+                    frozen = TorusGeometry(geom.R, geom.r_i, geom.R)
+                    expected_gm = permeance(kind, frozen).value if geom.R > geom.r_i else 0.0
+                else:
+                    expected_gm = permeance(kind, geom).value
+                assert res.Gm == max(expected_gm, GM_FLOOR)
+                assert res.dGm == permeance_gradient(kind, mode, geom)
+
+
 @settings(max_examples=40, deadline=None)
 @given(geom=geometry_strategy(FluxTubeKind.OUTER_HALF),
        vm=st.floats(min_value=0.0, max_value=1e3))
