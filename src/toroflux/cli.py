@@ -9,6 +9,7 @@ is undefined.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
 import sys
@@ -19,11 +20,14 @@ import numpy as np
 from .core import MU0, DomainError, FluxTubeKind, TorusGeometry, UsageError, derive, validate
 from .force import ActuatorSweepSpec, DriveMode, allowed_modes, permeance_gradient, sweep_force
 from .oracle import gradient_fd, permeance_quadrature
-from .permeance import LegacyCylinderSpec, legacy_half_hollow_cylinder
+from .permeance import _legacy_permeance
 from .permeance import permeance as _closed_permeance
 
 _KINDS = {k.value: k for k in FluxTubeKind}
 _MODES = {m.value: m for m in DriveMode}
+
+MAX_SWEEP_ROWS = 1_000_000
+"""Most rows one sweep command may build; every row is held in memory (about 1 KB each)."""
 
 
 @dataclass(frozen=True)
@@ -65,13 +69,14 @@ def _fmt(value: float | None) -> str:
     return "" if value is None else repr(float(value))
 
 
+def _check_row_count(rows: int) -> None:
+    if rows > MAX_SWEEP_ROWS:
+        raise UsageError(f"sweep of {rows} rows exceeds the limit of {MAX_SWEEP_ROWS} rows")
+
+
 def _write_csv(path: str | None, header: list[str], rows: list[list[str]]) -> None:
-    if path is None:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        return
-    with open(path, "w", newline="") as fh:
+    target = contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", newline="")
+    with target as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -91,13 +96,6 @@ def cmd_permeance(args: argparse.Namespace) -> int:
     return 0
 
 
-def _legacy_value(width: float, r_i: float, r_o: float) -> float:
-    t = r_o - r_i
-    if t <= 0.0:
-        return 0.0
-    return legacy_half_hollow_cylinder(LegacyCylinderSpec(width, t, r_i)).value
-
-
 def cmd_sweep_permeance(args: argparse.Namespace) -> int:
     kind = _KINDS[args.kind]
     rng = parse_range(args.range)
@@ -115,6 +113,7 @@ def cmd_sweep_permeance(args: argparse.Namespace) -> int:
         if len(fixed) != 1:
             raise UsageError("give exactly one fixed parameter: --ro, --t, --ri or --family")
         families = None
+    _check_row_count((1 if families is None else len(families)) * rng.samples)
 
     width = args.legacy_width if args.legacy_width is not None else 2.0 * math.pi * args.R
     header = ["swept_m"]
@@ -128,7 +127,7 @@ def cmd_sweep_permeance(args: argparse.Namespace) -> int:
         out = []
         for value, geom in zip(swept, geoms):
             result = _closed_permeance(kind, geom)
-            legacy = _legacy_value(width, geom.r_i, geom.r_o)
+            legacy = _legacy_permeance(width, geom.r_i, geom.r_o)
             rel = (legacy - result.value) / result.value if result.value != 0.0 else None
             row = prefix + [_fmt(value)]
             if args.normalized:
@@ -166,31 +165,24 @@ def cmd_sweep_force(args: argparse.Namespace) -> int:
     rng = parse_range(args.range)
     if rng.spacing != "lin":
         raise UsageError("sweep-force uses a linear ramp; give --range lin:...")
-    mode = _MODES[args.mode]
+    _check_row_count(rng.samples)
     spec = ActuatorSweepSpec(
         kind=_KINDS[args.kind],
-        mode=mode,
+        mode=_MODES[args.mode],
         R=args.R,
         start=rng.start,
         stop=rng.stop,
         samples=rng.samples,
         theta=args.theta,
-        r_o=args.ro if mode is DriveMode.CONST_OUTER_RADIUS else None,
-        t=args.t if mode is DriveMode.CONST_THICKNESS else None,
-        r_i=args.ri if mode is DriveMode.CONST_INNER_RADIUS else None,
+        r_o=args.ro,
+        t=args.t,
+        r_i=args.ri,
         legacy_width=args.legacy_width,
     )
-    rows = sweep_force(spec)
     header = ["g_m", "Gm_new_H", "F_new_N", "Gm_legacy_H", "F_legacy_N", "rel_dev_percent"]
-    _write_csv(
-        args.out,
-        header,
-        [
-            [_fmt(r.g), _fmt(r.gm), _fmt(r.force), _fmt(r.gm_legacy),
-             _fmt(r.force_legacy), _fmt(r.rel_dev_percent)]
-            for r in rows
-        ],
-    )
+    rows = [[_fmt(r.g), _fmt(r.gm), _fmt(r.force), _fmt(r.gm_legacy), _fmt(r.force_legacy),
+             _fmt(r.rel_dev_percent)] for r in sweep_force(spec)]
+    _write_csv(args.out, header, rows)
     return 0
 
 
@@ -264,29 +256,25 @@ def run_check(preset: str) -> CheckReport:
         raise UsageError(f"preset must be one of {sorted(_PRESETS)}, got {preset!r}")
     cfg = _PRESETS[preset]
     rng = np.random.default_rng(cfg["seed"])
+    # (label, kind, mode); mode None checks the permeance itself.
+    plan = [(f"permeance {kind.value}", kind, None) for kind in FluxTubeKind]
+    plan += [(f"gradient {kind.value} {mode.value}", kind, mode) for kind in FluxTubeKind
+             for mode in sorted(allowed_modes(kind), key=lambda m: m.value)]
     entries: list[CheckEntry] = []
-    for kind in FluxTubeKind:
+    for label, kind, mode in plan:
         worst, worst_geom = 0.0, None
-        geoms = _sample_geometries(kind, cfg["n_permeance"], rng)
+        geoms = _sample_geometries(kind, cfg["n_permeance" if mode is None else "n_gradient"], rng)
         for geom in geoms:
-            report = permeance_quadrature(kind, geom)
-            err = report.rel_error if report.converged else math.inf
+            if mode is None:
+                report = permeance_quadrature(kind, geom)
+                err = report.rel_error if report.converged else math.inf
+            else:
+                fd = gradient_fd(kind, mode, geom)
+                err = abs(permeance_gradient(kind, mode, geom) - fd) / abs(fd)
             if err >= worst:
                 worst, worst_geom = err, geom
-        entries.append(CheckEntry(f"permeance {kind.value}", len(geoms), worst,
-                                  PERMEANCE_BOUND, worst_geom))
-    for kind in FluxTubeKind:
-        for mode in sorted(allowed_modes(kind), key=lambda m: m.value):
-            worst, worst_geom = 0.0, None
-            geoms = _sample_geometries(kind, cfg["n_gradient"], rng)
-            for geom in geoms:
-                analytic = permeance_gradient(kind, mode, geom)
-                fd = gradient_fd(kind, mode, geom)
-                err = abs(analytic - fd) / abs(fd)
-                if err >= worst:
-                    worst, worst_geom = err, geom
-            entries.append(CheckEntry(f"gradient {kind.value} {mode.value}",
-                                      len(geoms), worst, GRADIENT_BOUND, worst_geom))
+        bound = PERMEANCE_BOUND if mode is None else GRADIENT_BOUND
+        entries.append(CheckEntry(label, len(geoms), worst, bound, worst_geom))
     return CheckReport(preset, entries)
 
 

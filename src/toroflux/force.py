@@ -53,8 +53,7 @@ from .core import (
     finite_positive,
     validate,
 )
-from .permeance import LegacyCylinderSpec, _shape, legacy_half_hollow_cylinder
-from .permeance import permeance as _closed_permeance
+from .permeance import _legacy_permeance, _shape
 
 GM_FLOOR = 1.0e-15
 """Permeance floor [H] reported for vanished tubes on the force pathway.
@@ -94,6 +93,12 @@ def allowed_modes(kind: FluxTubeKind) -> frozenset[DriveMode]:
     return _ALLOWED_MODES[kind]
 
 
+def _check_mode(kind: FluxTubeKind, mode: DriveMode) -> None:
+    """Raise :class:`UsageError` unless ``mode`` can move a tube of ``kind``."""
+    if mode not in _ALLOWED_MODES[kind]:
+        raise UsageError(f"mode {mode.value} not allowed for kind {kind.value}")
+
+
 @dataclass(frozen=True)
 class ForceResult:
     """Force [N], the gradient [H/m] and permeance [H] it came from, and existence."""
@@ -110,9 +115,11 @@ class ActuatorSweepSpec:
 
     The swept variable runs linearly from ``start`` to ``stop`` [m] and is the
     gap g = 2 r_i for the gap modes, or the stroke s = r_o for
-    ``CONST_INNER_RADIUS``.  Exactly the fixed parameter matching ``mode``
-    must be given (r_o, t or r_i).  ``legacy_width`` defaults to 2 pi R, the
-    constant-width choice used for the wrapped-cylinder comparison.
+    ``CONST_INNER_RADIUS``.  Only the fixed parameter matching ``mode`` (r_o,
+    t or r_i) is read and must be given; the other two are ignored.  ``R``,
+    that parameter and ``legacy_width`` are stored as floats.  ``legacy_width``
+    defaults to 2 pi R, the constant-width choice used for the
+    wrapped-cylinder comparison.
     """
 
     kind: FluxTubeKind
@@ -128,10 +135,15 @@ class ActuatorSweepSpec:
     legacy_width: float | None = None
 
     def __post_init__(self) -> None:
-        if self.mode not in allowed_modes(self.kind):
-            raise UsageError(f"mode {self.mode.value} not allowed for kind {self.kind.value}")
-        if not (math.isfinite(self.R) and self.R > 0.0):
-            raise UsageError(f"R must be finite and positive, got {self.R!r}")
+        _check_mode(self.kind, self.mode)
+        needed = _FIXED_BY_MODE[self.mode]
+        if getattr(self, needed) is None:
+            raise UsageError(f"mode {self.mode.value} requires positive fixed {needed}")
+        try:
+            for name in ("R", needed) + (() if self.legacy_width is None else ("legacy_width",)):
+                object.__setattr__(self, name, finite_positive(name, getattr(self, name)))
+        except DomainError as exc:
+            raise UsageError(str(exc)) from None
         if not (0.0 < self.start < self.stop) or not math.isfinite(self.stop):
             raise UsageError(
                 f"sweep range must satisfy 0 < start < stop, got [{self.start!r}, {self.stop!r}]"
@@ -140,14 +152,6 @@ class ActuatorSweepSpec:
             raise UsageError(f"samples must be >= 2, got {self.samples!r}")
         if not math.isfinite(self.theta):
             raise UsageError(f"theta must be finite, got {self.theta!r}")
-        needed = _FIXED_BY_MODE[self.mode]
-        fixed = getattr(self, needed)
-        if fixed is None or not (math.isfinite(fixed) and fixed > 0.0):
-            raise UsageError(f"mode {self.mode.value} requires positive fixed {needed}")
-        if self.legacy_width is not None and not (
-            math.isfinite(self.legacy_width) and self.legacy_width > 0.0
-        ):
-            raise UsageError(f"legacy width must be positive, got {self.legacy_width!r}")
 
     def geometry_at(self, value: float) -> TorusGeometry:
         """Geometry at one sample of the swept variable (gap or stroke)."""
@@ -215,40 +219,36 @@ def _closed_forms(kind: FluxTubeKind, mode: DriveMode, geom: TorusGeometry) -> t
 
 
 def permeance_gradient(kind: FluxTubeKind, mode: DriveMode, geom: TorusGeometry) -> float:
-    """Analytic dG_m/dg (gap modes) or dG_m/ds (stroke mode) in H/m.
+    """Analytic dG_m/dg (gap modes) or dG_m/ds (stroke mode) in H/m: ``force(...).dGm``.
 
     A vanished tube (r_o <= r_i, or an inner tube with r_o > R) has zero
     gradient.  An inner quarter driven past s = R keeps the permeance of
     r_o = R but produces no force, so its gradient is zero as well.
     Quarter tubes in a gap mode return four times the half-tube gradient.
     """
-    if mode not in allowed_modes(kind):
-        raise UsageError(f"mode {mode.value} not allowed for kind {kind.value}")
-    if not validate(kind, geom).exists:
-        return 0.0
-    return _closed_forms(kind, mode, geom)[1]
+    return force(0.0, kind, mode, geom).dGm
 
 
 def force(vm: float, kind: FluxTubeKind, mode: DriveMode, geom: TorusGeometry) -> ForceResult:
     """Reluctance force F = 1/2 vm^2 dG_m/dg on the tube, with bookkeeping.
 
-    ``vm`` is the magnetic tension across the tube in amperes.  For vanished
-    tubes the result carries zero force/gradient and the floored permeance;
-    an inner quarter past s = R reports the frozen permeance of r_o = R.
+    ``vm`` is the magnetic tension across the tube in amperes.  This is the
+    one guarded evaluation of a (kind, mode) pair: it refuses a mode that
+    cannot move the tube, gives a vanished tube zero force/gradient and the
+    floored permeance, and freezes an inner quarter driven past s = R at the
+    permeance of r_o = R with zero gradient.
     """
-    if mode not in allowed_modes(kind):
-        raise UsageError(f"mode {mode.value} not allowed for kind {kind.value}")
+    _check_mode(kind, mode)
     if not math.isfinite(vm):
         raise DomainError(f"magnetic tension must be finite, got {vm!r}")
-    if kind.is_inner and mode is DriveMode.CONST_INNER_RADIUS and geom.r_o > geom.R:
-        if geom.R <= geom.r_i:
-            return ForceResult(F=0.0, dGm=0.0, Gm=GM_FLOOR, exists=False)
-        frozen = TorusGeometry(geom.R, geom.r_i, geom.R)
-        gm = _closed_permeance(kind, frozen).value
-        return ForceResult(F=0.0, dGm=0.0, Gm=max(gm, GM_FLOOR), exists=True)
+    frozen = kind.is_inner and mode is DriveMode.CONST_INNER_RADIUS and geom.r_o > geom.R
+    if frozen:
+        geom = TorusGeometry(geom.R, geom.r_i, geom.R)
     if not validate(kind, geom).exists:
         return ForceResult(F=0.0, dGm=0.0, Gm=GM_FLOOR, exists=False)
     gm, dgm = _closed_forms(kind, mode, geom)
+    if frozen:
+        return ForceResult(F=0.0, dGm=0.0, Gm=max(gm, GM_FLOOR), exists=True)
     return ForceResult(F=0.5 * vm * vm * dgm, dGm=dgm, Gm=max(gm, GM_FLOOR), exists=True)
 
 
@@ -281,31 +281,16 @@ def sweep_force(spec: ActuatorSweepSpec) -> list[ForceSweepRow]:
         v = spec.stop if i == spec.samples - 1 else spec.start + i * step
         geom = spec.geometry_at(v)
         res = force(spec.theta, spec.kind, spec.mode, geom)
-        t_cur = geom.r_o - geom.r_i
-        if t_cur > 0.0:
-            gm_legacy = legacy_half_hollow_cylinder(LegacyCylinderSpec(w, t_cur, geom.r_i)).value
-        else:
-            gm_legacy = 0.0
-        if spec.mode is DriveMode.CONST_INNER_RADIUS:
-            f_legacy = None
-            rel_dev = None
-        elif t_cur <= 0.0:
+        gm_legacy = _legacy_permeance(w, geom.r_i, geom.r_o)
+        f_legacy = rel_dev = None
+        if spec.mode is not DriveMode.CONST_INNER_RADIUS:
+            # A vanished tube (t <= 0) has zero legacy force, and zero exact F.
+            t_cur = geom.r_o - geom.r_i
             f_legacy = 0.0
-            rel_dev = None
-        else:
-            f_legacy = 0.5 * spec.theta * spec.theta * legacy_gradient(w, t_cur, 2.0 * geom.r_i)
-            rel_dev = (
-                100.0 * abs(f_legacy - res.F) / abs(res.F) if res.F != 0.0 else None
-            )
-        rows.append(
-            ForceSweepRow(
-                g=v,
-                gm=res.Gm,
-                force=res.F,
-                gm_legacy=gm_legacy,
-                force_legacy=f_legacy,
-                rel_dev_percent=rel_dev,
-                exists=res.exists,
-            )
-        )
+            if t_cur > 0.0:
+                dgm_legacy = legacy_gradient(w, t_cur, 2.0 * geom.r_i)
+                f_legacy = 0.5 * spec.theta * spec.theta * dgm_legacy
+            if res.F != 0.0:
+                rel_dev = 100.0 * abs(f_legacy - res.F) / abs(res.F)
+        rows.append(ForceSweepRow(v, res.Gm, res.F, gm_legacy, f_legacy, rel_dev, res.exists))
     return rows

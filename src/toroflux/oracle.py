@@ -25,7 +25,7 @@ from .core import (
     UsageError,
     validate,
 )
-from .force import DriveMode, _geometry_at, allowed_modes
+from .force import DriveMode, _check_mode, _geometry_at
 from .permeance import permeance as _closed_permeance
 
 
@@ -234,8 +234,7 @@ def gradient_fd(
     Raises :class:`BoundaryError` when any stencil point would cross an
     existence boundary relative to the base geometry.
     """
-    if mode not in allowed_modes(kind):
-        raise UsageError(f"mode {mode.value} not allowed for kind {kind.value}")
+    _check_mode(kind, mode)
     if permeance_fn is None:
         permeance_fn = lambda k, g: _closed_permeance(k, g).value
     fixed, v = _fixed_and_driving(mode, geom)

@@ -140,3 +140,11 @@ def legacy_half_hollow_cylinder(spec: LegacyCylinderSpec) -> Permeance:
     in the limit (R/t) ln(r_o/r_i) -> infinity.
     """
     return Permeance(MU0 * spec.w / math.pi * math.log1p(spec.t / spec.r_i))
+
+
+def _legacy_permeance(w: float, r_i: float, r_o: float) -> float:
+    """Legacy permeance [H] of depth ``w`` between r_i and r_o; 0 once the tube has vanished."""
+    t = r_o - r_i
+    if t <= 0.0:
+        return 0.0
+    return legacy_half_hollow_cylinder(LegacyCylinderSpec(w, t, r_i)).value

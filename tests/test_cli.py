@@ -5,8 +5,16 @@ import math
 
 import pytest
 
+import toroflux.cli
 import toroflux.oracle
-from toroflux import FluxTubeKind, Permeance, TorusGeometry, permeance
+from toroflux import (
+    FluxTubeKind,
+    LegacyCylinderSpec,
+    Permeance,
+    TorusGeometry,
+    legacy_half_hollow_cylinder,
+    permeance,
+)
 from toroflux.cli import main, parse_range, run_check
 
 
@@ -110,6 +118,58 @@ def test_sweep_permeance_fixed_thickness_two_samples(tmp_path):
     header, rows = read_csv(str(out))
     assert header == ["swept_m", "Gm_H", "Gm_legacy_H", "rel_dev", "exists"]
     assert len(rows) == 2
+
+
+@pytest.mark.parametrize("kind, fixed, value, sweep, radii", [
+    # r_i runs past r_o: the last rows are degenerate or vanished.
+    ("outer-half", "--ro", 0.012, "lin:0.002:0.014:7", lambda v, c: (v, c)),
+    # r_o = r_i + t runs past R: the inner tube stops existing.
+    ("inner-half", "--t", 0.004, "log:0.0005:0.009:9", lambda v, c: (v, v + c)),
+    # r_o starts below r_i: the first rows are vanished.
+    ("lower-half", "--ri", 0.001, "lin:0.0005:0.009:9", lambda v, c: (c, v)),
+])
+def test_sweep_permeance_fixed_parameter_rows(tmp_path, kind, fixed, value, sweep, radii):
+    out = tmp_path / "fixed.csv"
+    R = 0.01
+    assert main(["sweep-permeance", "--kind", kind, "--R", str(R), fixed, str(value),
+                 "--range", sweep, "--out", str(out)]) == 0
+    header, rows = read_csv(str(out))
+    assert header == ["swept_m", "Gm_H", "Gm_legacy_H", "rel_dev", "exists"]
+    assert len(rows) == int(sweep.split(":")[-1])
+    width = 2.0 * math.pi * R
+    for row in rows:
+        r_i, r_o = radii(float(row[0]), value)
+        expected = permeance(FluxTubeKind(kind), TorusGeometry(R, r_i, r_o))
+        legacy = 0.0
+        if r_o > r_i:
+            legacy = legacy_half_hollow_cylinder(LegacyCylinderSpec(width, r_o - r_i, r_i)).value
+        assert float(row[1]) == expected.value
+        assert float(row[2]) == legacy
+        assert row[4] == str(expected.exists).lower()
+    assert any(row[4] == "false" for row in rows)
+    if fixed != "--t":
+        assert any(float(row[2]) == 0.0 for row in rows)
+
+
+def test_sweep_row_cap_is_usage_error(capsys):
+    rc = main(["sweep-force", "--range", "lin:0.002:0.022:100000000"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("error: sweep of 100000000 rows")
+    rc = main(["sweep-permeance", "--kind", "inner-half", "--R", "0.001",
+               "--family", "0.1,0.2", "--range", "log:0.01:1.0:600000"])
+    assert rc == 2 and "1200000 rows" in capsys.readouterr().err
+
+
+def test_sweep_row_cap_counts_family_rows(monkeypatch, tmp_path):
+    monkeypatch.setattr(toroflux.cli, "MAX_SWEEP_ROWS", 10)
+    out = str(tmp_path / "capped.csv")
+    assert main(["sweep-force", "--range", "lin:0.002:0.022:10", "--out", out]) == 0
+    assert main(["sweep-force", "--range", "lin:0.002:0.022:11", "--out", out]) == 2
+    family = ["sweep-permeance", "--kind", "inner-half", "--R", "0.001", "--family", "0.1,0.2",
+              "--out", out, "--range"]
+    assert main(family + ["log:0.01:1.0:5"]) == 0
+    assert main(family + ["log:0.01:1.0:6"]) == 2
 
 
 def test_sweep_permeance_needs_exactly_one_fixed(tmp_path, capsys):

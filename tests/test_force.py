@@ -294,3 +294,23 @@ def test_sweep_spec_requires_matching_fixed_parameter():
     with pytest.raises(UsageError):
         ActuatorSweepSpec(kind=FluxTubeKind.LOWER_HALF, mode=DriveMode.CONST_THICKNESS,
                           R=0.01, t=0.01, start=0.002, stop=0.022)
+
+
+@pytest.mark.parametrize("field", ["R", "t", "legacy_width"])
+def test_sweep_spec_rejects_bool_at_construction(field):
+    base = dict(kind=FluxTubeKind.OUTER_HALF, mode=DriveMode.CONST_THICKNESS, R=0.01, t=0.01,
+                start=0.002, stop=0.022)
+    base[field] = True
+    with pytest.raises(UsageError):
+        ActuatorSweepSpec(**base)
+
+
+def test_sweep_spec_accepts_numpy_scalars_as_float():
+    import numpy as np
+
+    spec = ActuatorSweepSpec(kind=FluxTubeKind.OUTER_HALF, mode=DriveMode.CONST_OUTER_RADIUS,
+                             R=np.float32(0.01), r_o=np.float64(0.012), legacy_width=np.int64(1),
+                             start=0.002, stop=0.02, samples=5)
+    assert all(type(getattr(spec, name)) is float for name in ("R", "r_o", "legacy_width"))
+    assert (spec.R, spec.r_o, spec.legacy_width) == (float(np.float32(0.01)), 0.012, 1.0)
+    assert len(sweep_force(spec)) == 5
