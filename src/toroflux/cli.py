@@ -14,14 +14,27 @@ import csv
 import math
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .core import MU0, DomainError, FluxTubeKind, TorusGeometry, UsageError, derive, validate
+from .core import (
+    MU0,
+    DomainError,
+    FluxTubeKind,
+    TorusGeometry,
+    UsageError,
+    derive,
+    finite_positive,
+    validate,
+)
 from .force import ActuatorSweepSpec, DriveMode, allowed_modes, permeance_gradient, sweep_force
 from .oracle import gradient_fd, permeance_quadrature
 from .permeance import _legacy_permeance
 from .permeance import permeance as _closed_permeance
+
+# numpy is imported only by the commands that compute with arrays (check,
+# sweep-permeance), so that permeance and sweep-force start without it.
+if TYPE_CHECKING:
+    import numpy as np
 
 _KINDS = {k.value: k for k in FluxTubeKind}
 _MODES = {m.value: m for m in DriveMode}
@@ -40,6 +53,8 @@ class SweepRange:
     samples: int
 
     def values(self, stop: float | None = None) -> np.ndarray:
+        import numpy as np
+
         stop = self.stop if stop is None else stop
         if self.spacing == "log":
             return np.geomspace(self.start, stop, self.samples)
@@ -74,6 +89,18 @@ def _check_row_count(rows: int) -> None:
         raise UsageError(f"sweep of {rows} rows exceeds the limit of {MAX_SWEEP_ROWS} rows")
 
 
+def _check_positive_flags(args: argparse.Namespace, *names: str) -> None:
+    # A length flag that is not finite and positive is bad input, exit 2,
+    # rather than a domain failure of the computation it would feed.
+    for name in names:
+        value = getattr(args, name)
+        if value is not None:
+            try:
+                finite_positive("--" + name.replace("_", "-"), value)
+            except DomainError as exc:
+                raise UsageError(str(exc)) from None
+
+
 def _write_csv(path: str | None, header: list[str], rows: list[list[str]]) -> None:
     target = contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", newline="")
     with target as fh:
@@ -83,6 +110,7 @@ def _write_csv(path: str | None, header: list[str], rows: list[list[str]]) -> No
 
 
 def cmd_permeance(args: argparse.Namespace) -> int:
+    _check_positive_flags(args, "R", "ri", "ro")
     geom = TorusGeometry(args.R, args.ri, args.ro)
     kind = _KINDS[args.kind]
     result = _closed_permeance(kind, geom)
@@ -97,6 +125,7 @@ def cmd_permeance(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep_permeance(args: argparse.Namespace) -> int:
+    _check_positive_flags(args, "R", "ro", "t", "ri", "legacy_width")
     kind = _KINDS[args.kind]
     rng = parse_range(args.range)
     fixed = [name for name in ("ro", "t", "ri") if getattr(args, name) is not None]
@@ -254,6 +283,8 @@ def run_check(preset: str) -> CheckReport:
     """
     if preset not in _PRESETS:
         raise UsageError(f"preset must be one of {sorted(_PRESETS)}, got {preset!r}")
+    import numpy as np
+
     cfg = _PRESETS[preset]
     rng = np.random.default_rng(cfg["seed"])
     # (label, kind, mode); mode None checks the permeance itself.
@@ -369,3 +400,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

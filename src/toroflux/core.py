@@ -132,6 +132,13 @@ class ExistenceReport:
     reason: str | None = None
 
 
+# validate runs on every permeance and force call; its three possible reports
+# are shared immutable instances rather than built per call.
+_EXISTS = ExistenceReport(True)
+_VANISHED = ExistenceReport(False, "vanished: r_o <= r_i")
+_SELF_INTERSECTING = ExistenceReport(False, "inner tube would self-intersect: r_o > R")
+
+
 def classify_branch(eta: float) -> BranchCase:
     """Classify eta against the closed unit window [1-w, 1+w], w = 1e-6.
 
@@ -223,7 +230,7 @@ def validate(kind: FluxTubeKind, geom: TorusGeometry) -> ExistenceReport:
     table raises :class:`DomainError` should one ever be classified SUB.
     """
     if geom.r_o <= geom.r_i:
-        return ExistenceReport(False, "vanished: r_o <= r_i")
+        return _VANISHED
     if kind.is_inner and geom.r_o > geom.R:
-        return ExistenceReport(False, "inner tube would self-intersect: r_o > R")
-    return ExistenceReport(True)
+        return _SELF_INTERSECTING
+    return _EXISTS

@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .core import (
     MU0,
@@ -27,6 +25,11 @@ from .core import (
 )
 from .force import DriveMode, _check_mode, _geometry_at
 from .permeance import permeance as _closed_permeance
+
+# numpy is imported inside the functions that compute with arrays, so that
+# importing the package (and the scalar CLI commands) does not load it.
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class BoundaryError(ValueError):
@@ -84,6 +87,8 @@ def adaptive_simpson(
     """
     if not (a < b and math.isfinite(a) and math.isfinite(b)):
         raise UsageError(f"bad integration bounds [{a!r}, {b!r}]")
+    import numpy as np
+
     n0 = 16
     x = np.linspace(a, b, 2 * n0 + 1)
     fx = f(x)
@@ -133,6 +138,8 @@ _QUARTER_RANGES = {
 def _reluctance_quadrature(
     geom: TorusGeometry, sign: float, a: float, b: float, cfg: QuadratureConfig
 ) -> tuple[float, bool]:
+    import numpy as np
+
     # Independent of derive(): eta from raw radii, plain log.
     t = geom.r_o - geom.r_i
     eta = (geom.R / t) * math.log(geom.r_o / geom.r_i)
@@ -185,6 +192,8 @@ def slice_permeance_quadrature(geom: TorusGeometry, theta: float, sign: int) -> 
         raise DomainError(f"sign must be +1 or -1, got {sign!r}")
     if geom.r_o <= geom.r_i:
         raise DomainError("slice quadrature needs r_o > r_i")
+    import numpy as np
+
     nodes, weights = np.polynomial.legendre.leggauss(16)
     edges = np.geomspace(geom.r_i, geom.r_o, 13)
     total = 0.0

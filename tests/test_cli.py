@@ -2,6 +2,10 @@
 
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -278,3 +282,57 @@ def test_check_detects_perturbed_closed_form(monkeypatch, capsys):
     monkeypatch.setattr(toroflux.oracle, "_closed_permeance", perturbed)
     assert main(["check", "--preset", "quick"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def run_python(*args):
+    """A fresh interpreter with this checkout's ``src`` first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_scalar_commands_do_not_import_numpy(tmp_path):
+    code = "\n".join([
+        "import sys, toroflux, toroflux.cli",
+        "from toroflux.cli import main",
+        "assert main(['permeance', '--kind', 'outer-half', '--R', '1', '--ri', '0.5',"
+        " '--ro', '1']) == 0",
+        f"assert main(['sweep-force', '--out', {str(tmp_path / 'force.csv')!r}]) == 0",
+        "print('numpy loaded:', 'numpy' in sys.modules)",
+        # the array commands still load it when they need it
+        f"assert main(['sweep-permeance', '--kind', 'outer-half', '--R', '0.01', '--t', '0.005',"
+        f" '--range', 'log:0.001:0.002:3', '--out', {str(tmp_path / 'perm.csv')!r}]) == 0",
+        "print('numpy loaded:', 'numpy' in sys.modules)",
+    ])
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["numpy loaded: False", "numpy loaded: True"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["permeance", "--kind", "outer-half", "--R", "-1", "--ri", "0.5", "--ro", "1"],
+    ["permeance", "--kind", "outer-half", "--R", "1", "--ri", "0", "--ro", "1"],
+    ["permeance", "--kind", "outer-half", "--R", "1", "--ri", "0.5", "--ro", "nan"],
+    ["sweep-permeance", "--kind", "outer-half", "--R", "-1", "--t", "0.005",
+     "--range", "lin:0.001:0.002:2"],
+    ["sweep-permeance", "--kind", "outer-half", "--R", "0.01", "--t", "0.005",
+     "--legacy-width", "-1", "--range", "lin:0.001:0.002:2"],
+    # every row vanished, so no legacy value would ever be computed
+    ["sweep-permeance", "--kind", "outer-half", "--R", "0.01", "--ro", "0.001",
+     "--legacy-width", "-1", "--range", "lin:0.002:0.003:2"],
+])
+def test_bad_flag_value_is_usage_error(argv):
+    proc = run_python("-m", "toroflux.cli", *argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: --") and "must be finite and positive" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_module_entry_prints_like_main(capsys):
+    argv = ["permeance", "--kind", "outer-half", "--R", "1", "--ri", "0.5", "--ro", "1"]
+    assert main(argv) == 0
+    proc = run_python("-m", "toroflux.cli", *argv)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == capsys.readouterr().out
