@@ -295,13 +295,15 @@ def run_check(preset: str) -> CheckReport:
     for label, kind, mode in plan:
         worst, worst_geom = 0.0, None
         geoms = _sample_geometries(kind, cfg["n_permeance" if mode is None else "n_gradient"], rng)
-        for geom in geoms:
-            if mode is None:
-                report = permeance_quadrature(kind, geom)
-                err = report.rel_error if report.converged else math.inf
-            else:
+        if mode is None:
+            errs = [r.rel_error if r.converged else math.inf
+                    for r in permeance_quadrature(kind, geoms)]
+        else:
+            errs = []
+            for geom in geoms:
                 fd = gradient_fd(kind, mode, geom)
-                err = abs(permeance_gradient(kind, mode, geom) - fd) / abs(fd)
+                errs.append(abs(permeance_gradient(kind, mode, geom) - fd) / abs(fd))
+        for geom, err in zip(geoms, errs):
             if err >= worst:
                 worst, worst_geom = err, geom
         bound = PERMEANCE_BOUND if mode is None else GRADIENT_BOUND

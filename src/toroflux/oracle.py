@@ -11,9 +11,10 @@ provides Richardson-extrapolated central differences as the gradient oracle.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .core import (
     MU0,
@@ -60,30 +61,54 @@ class OracleReport:
     converged: bool
 
 
+@functools.cache
+def _flags_type() -> type:
+    # Per-column convergence flags whose truth value, like the scalar flag's,
+    # says whether the whole integral converged, so callers that test
+    # ``not converged`` keep working (a plain array of several flags refuses
+    # a truth value).  Built on first use: numpy is only imported where
+    # arrays are computed.
+    import numpy as np
+
+    class ConvergedFlags(np.ndarray):
+        def __bool__(self) -> bool:
+            return bool(np.asarray(self).all())
+
+    return ConvergedFlags
+
+
 def adaptive_simpson(
     f: Callable[[np.ndarray], np.ndarray],
     a: float,
     b: float,
     rel_tol: float = 1.0e-12,
     max_depth: int = 60,
-) -> tuple[float, bool]:
+) -> tuple[float, bool] | tuple[np.ndarray, np.ndarray]:
     """Adaptive Simpson integration of a vectorized integrand on [a, b].
 
     Args:
-        f: Integrand mapping an array of abscissae to an array of values.
+        f: Integrand mapping an array of m abscissae to an array of m values,
+            or to an (m, n) array of n integrands sampled at those abscissae.
         a: Lower bound.
         b: Upper bound (must exceed ``a``).
-        rel_tol: Target error relative to a coarse estimate of the integral.
+        rel_tol: Target error relative to a coarse estimate of the integral,
+            per column for an (m, n) integrand.
         max_depth: Subdivision levels allowed below the 16-panel seed grid.
 
     Returns:
-        Tuple of (integral, converged).  ``converged`` is False when some
-        subinterval hit ``max_depth`` before meeting its error share; the
-        best available estimate is still returned, never silently dropped.
+        Tuple of (integral, converged): a float and a bool, or for an (m, n)
+        integrand an array of n integrals and an array of n flags, whose
+        truth value is True only when every column converged.  A flag is
+        False when some subinterval hit ``max_depth`` before meeting that
+        column's error share; the best available estimate is still returned,
+        never silently dropped.
 
     Each pending subinterval carries a Richardson error estimate
-    (S_halves - S_whole)/15 and an error budget that halves per split; all
-    pending subintervals are refined together as numpy arrays.
+    (S_halves - S_whole)/15 per column, against a budget of rel_tol |coarse|
+    / 16 per seed panel that halves per split.  An interval is split while
+    any column misses its share, so the columns share one mesh, and every
+    interval pending at a level has the same width and budget.  All pending
+    subintervals are refined together as numpy arrays.
     """
     if not (a < b and math.isfinite(a) and math.isfinite(b)):
         raise UsageError(f"bad integration bounds [{a!r}, {b!r}]")
@@ -93,14 +118,14 @@ def adaptive_simpson(
     x = np.linspace(a, b, 2 * n0 + 1)
     fx = f(x)
     left = x[0:-1:2]
-    width = np.full(n0, (b - a) / n0)
+    width = (b - a) / n0
     fa, fm, fb = fx[0:-1:2], fx[1::2], fx[2::2]
     S = width / 6.0 * (fa + 4.0 * fm + fb)
-    rough = float(S.sum())
-    tol = np.full(n0, rel_tol * max(abs(rough), np.finfo(float).tiny) / n0)
+    rough = S.sum(axis=0)
+    tol = rel_tol * np.maximum(np.abs(rough), np.finfo(float).tiny) / n0
 
     total = 0.0
-    converged = True
+    converged = np.ones(fx.shape[1:], dtype=bool)
     for depth in range(max_depth):
         half = 0.5 * width
         fml = f(left + 0.25 * width)
@@ -109,22 +134,25 @@ def adaptive_simpson(
         S_r = half / 6.0 * (fm + 4.0 * fmr + fb)
         S2 = S_l + S_r
         err = (S2 - S) / 15.0
+        met = np.abs(err) <= tol
         if depth == max_depth - 1:
-            accept = np.ones_like(err, dtype=bool)
-            converged = bool(np.all(np.abs(err) <= tol))
+            accept = np.ones(len(err), dtype=bool)
+            converged = met.all(axis=0)
         else:
-            accept = np.abs(err) <= tol
-        total += float((S2[accept] + err[accept]).sum())
+            accept = met if met.ndim == 1 else met.all(axis=1)
+        total = total + (S2[accept] + err[accept]).sum(axis=0)
         keep = ~accept
         if not keep.any():
             break
-        left = np.concatenate([left[keep], left[keep] + half[keep]])
-        width = np.concatenate([half[keep], half[keep]])
+        left = np.concatenate([left[keep], left[keep] + half])
+        width = half
         fa, fb = np.concatenate([fa[keep], fm[keep]]), np.concatenate([fm[keep], fb[keep]])
         fm = np.concatenate([fml[keep], fmr[keep]])
         S = np.concatenate([S_l[keep], S_r[keep]])
-        tol = np.concatenate([0.5 * tol[keep], 0.5 * tol[keep]])
-    return total, converged
+        tol = 0.5 * tol
+    if fx.ndim == 1:
+        return float(total), bool(converged)
+    return total, converged.view(_flags_type())
 
 
 _QUARTER_RANGES = {
@@ -134,48 +162,74 @@ _QUARTER_RANGES = {
     FluxTubeKind.OUTER_QUARTER: (+1.0, 0.5 * math.pi, math.pi),
 }
 
+_BATCH = 32
+"""Geometries integrated in one adaptive pass.  The common mesh grows with the
+batch's hardest member, so bounding the batch bounds the memory it holds."""
+
 
 def _reluctance_quadrature(
-    geom: TorusGeometry, sign: float, a: float, b: float, cfg: QuadratureConfig
-) -> tuple[float, bool]:
+    geoms: Sequence[TorusGeometry], sign: float, a: float, b: float, cfg: QuadratureConfig
+) -> tuple[np.ndarray, np.ndarray]:
     import numpy as np
 
     # Independent of derive(): eta from raw radii, plain log.
-    t = geom.r_o - geom.r_i
-    eta = (geom.R / t) * math.log(geom.r_o / geom.r_i)
+    t = np.array([g.r_o - g.r_i for g in geoms])
+    eta = np.array([(g.R / (g.r_o - g.r_i)) * math.log(g.r_o / g.r_i) for g in geoms])
 
     def integrand(theta: np.ndarray) -> np.ndarray:
-        return 1.0 / (eta + sign * np.sin(theta))
+        return 1.0 / (eta + sign * np.sin(theta)[:, None])
 
     integral, ok = adaptive_simpson(integrand, a, b, cfg.rel_tol, cfg.max_depth)
     return integral / (2.0 * math.pi * MU0 * t), ok
 
 
+def _batch_reports(
+    kind: FluxTubeKind, geoms: Sequence[TorusGeometry], cfg: QuadratureConfig
+) -> list[OracleReport]:
+    if kind is FluxTubeKind.LOWER_HALF:
+        r_in, ok_in = _reluctance_quadrature(geoms, -1.0, 0.0, 0.5 * math.pi, cfg)
+        r_out, ok_out = _reluctance_quadrature(geoms, +1.0, 0.5 * math.pi, math.pi, cfg)
+        quad = 1.0 / (r_in + r_out)
+        ok = ok_in & ok_out
+    else:
+        sign, a, b = _QUARTER_RANGES[kind]
+        rm, ok = _reluctance_quadrature(geoms, sign, a, b, cfg)
+        quad = 1.0 / rm
+    reports = []
+    for geom, q, converged in zip(geoms, quad.tolist(), ok.tolist()):
+        closed = _closed_permeance(kind, geom).value
+        reports.append(OracleReport(closed_form=closed, quadrature=q,
+                                    rel_error=abs(closed - q) / abs(q), converged=converged))
+    return reports
+
+
 def permeance_quadrature(
-    kind: FluxTubeKind, geom: TorusGeometry, cfg: QuadratureConfig | None = None
-) -> OracleReport:
+    kind: FluxTubeKind,
+    geom: TorusGeometry | Sequence[TorusGeometry],
+    cfg: QuadratureConfig | None = None,
+) -> OracleReport | list[OracleReport]:
     """Quadrature permeance of the tube, compared against the closed form.
+
+    Given a sequence of geometries, returns one report per geometry, in
+    order.  They are integrated in batches on a common mesh, refined until
+    every member meets its own tolerance, and each report carries its own
+    ``converged`` flag.  A single geometry is a batch of one.
 
     The degenerate/vanished tube has an undefined integrand, so a
     nonexistent (kind, geometry) pair is a usage error here, unlike in the
-    closed-form module.
+    closed-form module; one in a sequence fails the whole call.
     """
     cfg = cfg or QuadratureConfig()
-    rep = validate(kind, geom)
-    if not rep.exists:
-        raise UsageError(f"quadrature needs an existing tube: {rep.reason}")
-    if kind is FluxTubeKind.LOWER_HALF:
-        r_in, ok_in = _reluctance_quadrature(geom, -1.0, 0.0, 0.5 * math.pi, cfg)
-        r_out, ok_out = _reluctance_quadrature(geom, +1.0, 0.5 * math.pi, math.pi, cfg)
-        quad = 1.0 / (r_in + r_out)
-        ok = ok_in and ok_out
-    else:
-        sign, a, b = _QUARTER_RANGES[kind]
-        rm, ok = _reluctance_quadrature(geom, sign, a, b, cfg)
-        quad = 1.0 / rm
-    closed = _closed_permeance(kind, geom).value
-    rel_error = abs(closed - quad) / max(abs(quad), 1.0e-15)
-    return OracleReport(closed_form=closed, quadrature=quad, rel_error=rel_error, converged=ok)
+    single = isinstance(geom, TorusGeometry)
+    geoms = [geom] if single else list(geom)
+    for g in geoms:
+        rep = validate(kind, g)
+        if not rep.exists:
+            raise UsageError(f"quadrature needs an existing tube: {rep.reason}")
+    reports: list[OracleReport] = []
+    for i in range(0, len(geoms), _BATCH):
+        reports += _batch_reports(kind, geoms[i:i + _BATCH], cfg)
+    return reports[0] if single else reports
 
 
 def slice_permeance_quadrature(geom: TorusGeometry, theta: float, sign: int) -> float:
@@ -231,8 +285,9 @@ def gradient_fd(
 
     One Richardson level over central differences, (4 D(h/2) - D(h)) / 3,
     lifting the plain stencil's observed order-2 convergence to order 4.
-    The default step is max(1e-6 v, 1e-9 m) in the driving variable v
-    (gap or stroke), balancing truncation against cancellation at mm scales.
+    The default step is 1e-6 of the driving variable v (gap or stroke): a
+    fixed fraction, with no floor in metres, so the stencil scales with the
+    tube and balances truncation against cancellation at every size.
 
     For quarter tubes in a gap mode the differenced quarter permeance yields
     twice the half-tube gradient, while the force-effective gradient is four
@@ -248,7 +303,7 @@ def gradient_fd(
         permeance_fn = lambda k, g: _closed_permeance(k, g).value
     fixed, v = _fixed_and_driving(mode, geom)
     if h is None:
-        h = max(1.0e-6 * v, 1.0e-9)
+        h = 1.0e-6 * v
     base_exists = validate(kind, geom).exists
     for dv in (-h, -0.5 * h, 0.5 * h, h):
         probe = _geometry_at(mode, geom.R, fixed, v + dv)

@@ -284,6 +284,32 @@ def test_check_detects_perturbed_closed_form(monkeypatch, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_check_names_the_one_perturbed_geometry(monkeypatch):
+    import numpy as np
+
+    preset = toroflux.cli._PRESETS["quick"]
+    rng = np.random.default_rng(preset["seed"])
+    for kind in FluxTubeKind:  # the check samples the permeance entries first, in this order
+        geoms = toroflux.cli._sample_geometries(kind, preset["n_permeance"], rng)
+        if kind is FluxTubeKind.OUTER_HALF:
+            target = geoms[7]
+            break
+    real = toroflux.oracle._closed_permeance
+
+    def perturbed(kind, geom):
+        result = real(kind, geom)
+        if kind is FluxTubeKind.OUTER_HALF and geom == target:
+            return Permeance(result.value * (1.0 + 1e-6), result.exists)
+        return result
+
+    monkeypatch.setattr(toroflux.oracle, "_closed_permeance", perturbed)
+    report = run_check("quick")
+    failed = [e for e in report.entries if not e.passed]
+    assert not report.passed
+    assert [e.label for e in failed] == ["permeance outer-half"]
+    assert failed[0].worst_geom == target
+
+
 def run_python(*args):
     """A fresh interpreter with this checkout's ``src`` first on PYTHONPATH."""
     src = str(Path(__file__).resolve().parents[1] / "src")

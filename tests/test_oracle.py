@@ -6,15 +6,18 @@ import numpy as np
 import pytest
 
 from conftest import sample_geometries, solve_ro_for_eta
+import toroflux.oracle
 from toroflux import (
     MU0,
     BoundaryError,
     DriveMode,
     FluxTubeKind,
+    Permeance,
     QuadratureConfig,
     TorusGeometry,
     UsageError,
     adaptive_simpson,
+    allowed_modes,
     gradient_fd,
     permeance,
     permeance_gradient,
@@ -101,6 +104,32 @@ def test_adaptive_simpson_reports_nonconvergence():
     assert math.isfinite(value)  # best effort value, never silently dropped
 
 
+def test_adaptive_simpson_vector_integrand_per_column():
+    etas = np.array([1.01, 2.0, 50.0])
+    values, ok = adaptive_simpson(lambda th: 1.0 / (etas + np.sin(th)[:, None]), 0.0, math.pi)
+    assert values.shape == (3,) and list(ok) == [True, True, True]
+    for eta, value in zip(etas, values):
+        root = math.sqrt(eta * eta - 1.0)
+        assert value == pytest.approx(2.0 * math.atan(root) / root, rel=1e-12)
+
+
+def test_adaptive_simpson_flags_only_the_column_that_fails():
+    def f(x):
+        return np.stack([np.sin(x), 1.0 / (1e-7 + (x - 0.5) ** 2), x * x], axis=1)
+
+    values, ok = adaptive_simpson(f, 0.0, 1.0, rel_tol=1e-12, max_depth=10)
+    assert list(ok) == [True, False, True]
+    assert not ok  # the batch as a whole did not converge
+    assert np.all(np.isfinite(values))
+    assert values[0] == pytest.approx(1.0 - math.cos(1.0), rel=1e-12)
+    assert values[2] == pytest.approx(1.0 / 3.0, rel=1e-12)
+
+
+def test_adaptive_simpson_scalar_integrand_returns_float_and_bool():
+    value, ok = adaptive_simpson(np.sin, 0.0, math.pi)
+    assert type(value) is float and type(ok) is bool
+
+
 def test_adaptive_simpson_bad_bounds():
     with pytest.raises(UsageError):
         adaptive_simpson(np.sin, 1.0, 1.0)
@@ -118,6 +147,42 @@ def test_quadrature_rejects_nonexistent_tube():
         permeance_quadrature(FluxTubeKind.INNER_HALF, TorusGeometry(1.0, 0.3, 0.3))
     with pytest.raises(UsageError):
         permeance_quadrature(FluxTubeKind.INNER_HALF, TorusGeometry(1.0, 0.3, 1.2))
+
+
+@pytest.mark.parametrize("kind", list(FluxTubeKind))
+def test_quadrature_batch_matches_single_geometry_calls(kind):
+    geoms = sample_geometries(kind, 40, seed=505)  # more than one internal batch
+    batch = permeance_quadrature(kind, geoms)
+    assert len(batch) == len(geoms)
+    for geom, report in zip(geoms, batch):
+        single = permeance_quadrature(kind, geom)
+        assert report.closed_form == single.closed_form
+        assert report.converged and single.converged
+        assert abs(report.quadrature - single.quadrature) <= 1e-12 * single.quadrature
+
+
+def test_quadrature_batch_with_a_nonexistent_tube_is_usage_error():
+    geoms = [TorusGeometry(1.0, 0.2, 0.8), TorusGeometry(1.0, 0.3, 1.2)]
+    with pytest.raises(UsageError):
+        permeance_quadrature(FluxTubeKind.INNER_HALF, geoms)
+
+
+def test_quadrature_empty_batch():
+    assert permeance_quadrature(FluxTubeKind.OUTER_HALF, []) == []
+
+
+@pytest.mark.parametrize("kind", list(FluxTubeKind))
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-9])
+def test_quadrature_rel_error_is_scale_free(monkeypatch, kind, scale):
+    real = toroflux.oracle._closed_permeance
+
+    def perturbed(k, g):
+        result = real(k, g)
+        return Permeance(result.value * (1.0 + 1e-6), result.exists)
+
+    monkeypatch.setattr(toroflux.oracle, "_closed_permeance", perturbed)
+    report = permeance_quadrature(kind, TorusGeometry(1e-2, 2e-3, 5e-3).scaled(scale))
+    assert report.rel_error == pytest.approx(1e-6, rel=1e-6)
 
 
 def test_quadrature_near_unit_window_outer():
@@ -184,6 +249,16 @@ def test_gradient_fd_matches_analytic_on_random_geometries():
             analytic = permeance_gradient(kind, mode, geom)
             fd = gradient_fd(kind, mode, geom)
             assert abs(analytic - fd) / abs(fd) <= 1e-6
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-6])
+def test_gradient_fd_default_step_is_scale_free(scale):
+    geom = TorusGeometry(1e-2, 2e-3, 5e-3).scaled(scale)
+    for kind in FluxTubeKind:
+        for mode in allowed_modes(kind):
+            analytic = permeance_gradient(kind, mode, geom)
+            fd = gradient_fd(kind, mode, geom)
+            assert abs(analytic - fd) / abs(fd) <= 1e-6, (kind, mode)
 
 
 def test_gradient_fd_double_oracle_near_window():
