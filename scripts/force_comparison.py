@@ -8,9 +8,10 @@ summary of the relative-deviation curve and the eta branch crossing.
 
 import argparse
 import csv
-import math
 from pathlib import Path
 
+from toroflux import TorusGeometry, derive
+from toroflux.cli import build_parser
 from toroflux.cli import main as cli_main
 
 
@@ -31,8 +32,9 @@ def main() -> int:
         rows = list(csv.DictReader(fh))
     devs = [float(r["rel_dev_percent"]) for r in rows]
     gaps = [float(r["g_m"]) for r in rows]
-    t = R = 0.01
-    etas = [(R / t) * math.log1p(t / (g / 2.0)) for g in gaps]
+    # The CLI's own defaults (const-t): r_i = g/2, r_o = g/2 + t.
+    ref = build_parser().parse_args(["sweep-force"])
+    etas = [derive(TorusGeometry(ref.R, g / 2.0, g / 2.0 + ref.t)).eta for g in gaps]
     crossing = next((g for g, e in zip(gaps, etas) if e < 1.0), None)
     print(f"wrote {out}")
     print(f"relative deviation: {devs[0]:.2f} % at g = {gaps[0] * 1e3:.1f} mm "

@@ -26,7 +26,8 @@ from .core import (
     finite_positive,
     validate,
 )
-from .force import ActuatorSweepSpec, DriveMode, allowed_modes, permeance_gradient, sweep_force
+from .force import (_GAP_MODES, _MOTION, ActuatorSweepSpec, DriveMode, _geometry_at,
+                    _quarter_factors, allowed_modes, permeance_gradient, sweep_force)
 from .oracle import gradient_fd, permeance_quadrature
 from .permeance import _legacy_permeance
 from .permeance import permeance as _closed_permeance
@@ -128,9 +129,10 @@ def cmd_sweep_permeance(args: argparse.Namespace) -> int:
     _check_positive_flags(args, "R", "ro", "t", "ri", "legacy_width")
     kind = _KINDS[args.kind]
     rng = parse_range(args.range)
-    fixed = [name for name in ("ro", "t", "ri") if getattr(args, name) is not None]
+    given = {"r_o": args.ro, "t": args.t, "r_i": args.ri}
+    modes = [mode for mode, (held, _, _) in _MOTION.items() if given[held] is not None]
     if args.family is not None:
-        if fixed:
+        if modes:
             raise UsageError("--family replaces --ro; do not combine with --ro/--t/--ri")
         try:
             families = [float(s) for s in args.family.split(",") if s]
@@ -138,54 +140,41 @@ def cmd_sweep_permeance(args: argparse.Namespace) -> int:
             families = []  # a non-number: rejected below like an empty list
         if not families or any(not (math.isfinite(f) and f > 0.0) for f in families):
             raise UsageError(f"--family must be positive r_o/R ratios, got {args.family!r}")
+        _check_row_count(len(families) * rng.samples)
+        # (prefix, mode, fixed, swept) per curve: r_i swept as a fraction of R
+        # at fixed r_o, clamped so r_i <= r_o per family curve.
+        curves = [([_fmt(ratio)], DriveMode.CONST_OUTER_RADIUS, ratio * args.R,
+                   [f * args.R for f in rng.values(stop=min(rng.stop, ratio))])
+                  for ratio in families if min(rng.stop, ratio) > rng.start]
     else:
-        if len(fixed) != 1:
+        if len(modes) != 1:
             raise UsageError("give exactly one fixed parameter: --ro, --t, --ri or --family")
-        families = None
-    _check_row_count((1 if families is None else len(families)) * rng.samples)
+        _check_row_count(rng.samples)
+        curves = [([], modes[0], given[_MOTION[modes[0]][0]], list(rng.values()))]
 
     width = args.legacy_width if args.legacy_width is not None else 2.0 * math.pi * args.R
     header = ["swept_m"]
     if args.normalized:
         header += ["swept_over_R", "Gm_over_mu0R"]
     header += ["Gm_H", "Gm_legacy_H", "rel_dev", "exists"]
-    if families is not None:
+    if args.family is not None:
         header = ["ro_over_R"] + header
-
-    def rows_for(geoms: list[TorusGeometry], swept: list[float], prefix: list[str]) -> list[list[str]]:
-        out = []
-        for value, geom in zip(swept, geoms):
+    rows: list[list[str]] = []
+    for prefix, mode, fixed, swept in curves:
+        # The swept radius is r_i in the gap modes, at v = g = 2 r_i, and r_o
+        # = v in the stroke mode; the legacy cylinder takes the quarter factor.
+        p = _quarter_factors(kind, mode)[0]
+        for value in swept:
+            geom = _geometry_at(mode, args.R, fixed, 2.0 * value if mode in _GAP_MODES else value)
             result = _closed_permeance(kind, geom)
-            legacy = _legacy_permeance(width, geom.r_i, geom.r_o)
+            legacy = p * _legacy_permeance(width, geom.r_i, geom.r_o)
             rel = (legacy - result.value) / result.value if result.value != 0.0 else None
             row = prefix + [_fmt(value)]
             if args.normalized:
                 row += [_fmt(value / args.R), _fmt(result.value / (MU0 * args.R))]
             row += [_fmt(result.value), _fmt(legacy), _fmt(rel),
                     str(result.exists).lower()]
-            out.append(row)
-        return out
-
-    rows: list[list[str]] = []
-    if families is not None:
-        # r_i swept as a fraction of R, clamped so r_i <= r_o per family curve.
-        for ratio in families:
-            r_o = ratio * args.R
-            stop = min(rng.stop, ratio)
-            if stop <= rng.start:
-                continue
-            fracs = rng.values(stop=stop)
-            geoms = [TorusGeometry(args.R, f * args.R, r_o) for f in fracs]
-            rows += rows_for(geoms, [f * args.R for f in fracs], [_fmt(ratio)])
-    else:
-        values = rng.values()
-        if args.ri is not None:
-            geoms = [TorusGeometry(args.R, args.ri, v) for v in values]
-        elif args.ro is not None:
-            geoms = [TorusGeometry(args.R, v, args.ro) for v in values]
-        else:
-            geoms = [TorusGeometry(args.R, v, v + args.t) for v in values]
-        rows += rows_for(geoms, list(values), [])
+            rows.append(row)
     _write_csv(args.out, header, rows)
     return 0
 

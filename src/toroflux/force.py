@@ -4,36 +4,35 @@ The force on a tube deformed by armature motion is F = 1/2 V_m^2 dG_m/dg
 (Roters), so all the physics sits in the gradient of the permeance with
 respect to the motion coordinate.  Which gradient applies depends on the
 drive mode, i.e. which geometric quantity the surrounding magnetic circuit
-holds constant:
+holds constant while the motion coordinate v moves the radii at the rates
+(a_i, a_o) = (dr_i/dv, dr_o/dv) of one private table, ``_MOTION``.  v is the
+gap g = 2 r_i, or for ``CONST_INNER_RADIUS`` the stroke s = r_o (quarter
+tubes only; e.g. a plunger entering a cylindrical hole):
 
-* ``CONST_OUTER_RADIUS`` - r_o fixed, r_i = g/2 follows the gap,
-* ``CONST_THICKNESS``    - t fixed, r_i = g/2 follows the gap,
-* ``CONST_INNER_RADIUS`` - r_i fixed, r_o = s follows the stroke
-  (quarter tubes only; e.g. a plunger entering a cylindrical hole).
+============  ===  ===  ====
+mode          a_i  a_o  held
+============  ===  ===  ====
+const-ro (g)  1/2  0    r_o
+const-t (g)   1/2  1/2  t
+const-ri (s)  0    1    r_i
+============  ===  ===  ====
 
-With G_m = G_m0 f(eta) and G_m0 = pi mu0 t, every gradient is one chain rule
-on the (f, f') pair of :mod:`toroflux.permeance`, for the motion coordinate v:
+With G_m = G_m0 f(eta), G_m0 = pi mu0 t and eta = (R/t) ln(r_o/r_i), every
+gradient is one chain rule on the (f, f') pair of :mod:`toroflux.permeance`:
 
-    dG_m/dv = G_m0 [(dt/dv)/t f + f' deta/dv]
-
-with the partials of each mode:
-
-============  =========  ========================
-mode          dt/dv      deta/dv
-============  =========  ========================
-const-ro (g)  -1/2       (eta - R/r_i) / (2t)
-const-t (g)   0          -R / (2 r_i r_o)
-const-ri (s)  1          (R/r_o - eta) / t
-============  =========  ========================
+    dG_m/dv = G_m0 [(dt/dv)/t f + f' deta/dv],   dt/dv = a_o - a_i,
+    t deta/dv = (dt/dv) (R/r_o - eta) - a_i t R / (r_i r_o).
 
 A quarter has twice the (f, f') of its half, so its permeance and its stroke
-gradient are twice the half's.  Driven in a gap mode it develops quadruple
-the half-tube force: twice the magnetic field strength acts on twice the
-distortion per stroke, so the gap gradient is doubled once more.  Inside the
-unit window the outer tubes take everything at eta = 1: (f, f') = (1, 2/3),
-the partials at eta = 1, and for the gap modes the documented closed forms
--G_m0 (1 + 2R/r_i) / (6t) (const-ro) and -G_m0 R / (3 r_i r_o) (const-t).
-Lower-half tubes do not generate force in axisymmetric motion.
+gradient are twice the half's.  Driven in a gap mode it develops quadruple the
+half-tube force: twice the magnetic field strength acts on twice the
+distortion per stroke, so the gap gradient is doubled once more.  The legacy
+cylinder G_L = (mu0 w/pi) ln(r_o/r_i) follows the same path with the same
+quarter factors, dG_L/dv = (mu0 w/pi) [(dt/dv)/r_o - a_i t/(r_i r_o)].  Inside
+the unit window the outer tubes take everything at eta = 1: (f, f') =
+(1, 2/3), the partials at eta = 1, and for the gap modes the documented closed
+forms -G_m0 (1 + 2R/r_i) / (6t) (const-ro) and -G_m0 R / (3 r_i r_o)
+(const-t).  Lower-half tubes do not generate force in axisymmetric motion.
 """
 
 from __future__ import annotations
@@ -51,6 +50,7 @@ from .core import (
     UsageError,
     derive,
     finite_positive,
+    finite_real,
     validate,
 )
 from .permeance import _legacy_permeance, _shape
@@ -81,12 +81,12 @@ _ALLOWED_MODES: dict[FluxTubeKind, frozenset[DriveMode]] = {
     FluxTubeKind.LOWER_HALF: frozenset(),
 }
 
-_FIXED_BY_MODE = {
-    DriveMode.CONST_OUTER_RADIUS: "r_o",
-    DriveMode.CONST_THICKNESS: "t",
-    DriveMode.CONST_INNER_RADIUS: "r_i",
+_MOTION: dict[DriveMode, tuple[str, float, float]] = {
+    DriveMode.CONST_OUTER_RADIUS: ("r_o", 0.5, 0.0),
+    DriveMode.CONST_THICKNESS: ("t", 0.5, 0.5),
+    DriveMode.CONST_INNER_RADIUS: ("r_i", 0.0, 1.0),
 }
-"""The ActuatorSweepSpec field each drive mode holds constant."""
+"""Each mode's path: the ActuatorSweepSpec field it holds, and (a_i, a_o) = (dr_i/dv, dr_o/dv)."""
 
 
 def allowed_modes(kind: FluxTubeKind) -> frozenset[DriveMode]:
@@ -97,6 +97,13 @@ def _check_mode(kind: FluxTubeKind, mode: DriveMode) -> None:
     """Raise :class:`UsageError` unless ``mode`` can move a tube of ``kind``."""
     if mode not in _ALLOWED_MODES[kind]:
         raise UsageError(f"mode {mode.value} not allowed for kind {kind.value}")
+
+
+def _quarter_factors(kind: FluxTubeKind, mode: DriveMode) -> tuple[float, float]:
+    """(p, q): permeance and force gradient as multiples of the half's, exact and legacy alike."""
+    if kind.is_quarter:
+        return 2.0, (4.0 if mode in _GAP_MODES else 2.0)
+    return 1.0, 1.0
 
 
 @dataclass(frozen=True)
@@ -116,10 +123,10 @@ class ActuatorSweepSpec:
     The swept variable runs linearly from ``start`` to ``stop`` [m] and is the
     gap g = 2 r_i for the gap modes, or the stroke s = r_o for
     ``CONST_INNER_RADIUS``.  Only the fixed parameter matching ``mode`` (r_o,
-    t or r_i) is read and must be given; the other two are ignored.  ``R``,
-    that parameter and ``legacy_width`` are stored as floats.  ``legacy_width``
-    defaults to 2 pi R, the constant-width choice used for the
-    wrapped-cylinder comparison.
+    t or r_i) is read and must be given; the other two are ignored.  ``samples``
+    is stored as an int, and every other number read as a float.
+    ``legacy_width`` defaults to 2 pi R, the constant-width choice used for
+    the wrapped-cylinder comparison.
     """
 
     kind: FluxTubeKind
@@ -136,38 +143,35 @@ class ActuatorSweepSpec:
 
     def __post_init__(self) -> None:
         _check_mode(self.kind, self.mode)
-        needed = _FIXED_BY_MODE[self.mode]
+        needed = _MOTION[self.mode][0]
         if getattr(self, needed) is None:
             raise UsageError(f"mode {self.mode.value} requires positive fixed {needed}")
+        # An int or numpy integer: a float, even 3.0, has no __index__ (and a bool's is < 2).
+        samples = getattr(self.samples, "__index__", lambda: 0)()
+        if samples < 2:
+            raise UsageError(f"samples must be an integer >= 2, got {self.samples!r}")
+        object.__setattr__(self, "samples", samples)
         try:
-            for name in ("R", needed) + (() if self.legacy_width is None else ("legacy_width",)):
+            object.__setattr__(self, "theta", finite_real("theta", self.theta))
+            for name in ("R", needed, "start", "stop") + (
+                    () if self.legacy_width is None else ("legacy_width",)):
                 object.__setattr__(self, name, finite_positive(name, getattr(self, name)))
         except DomainError as exc:
             raise UsageError(str(exc)) from None
-        if not (0.0 < self.start < self.stop) or not math.isfinite(self.stop):
-            raise UsageError(
-                f"sweep range must satisfy 0 < start < stop, got [{self.start!r}, {self.stop!r}]"
-            )
-        if self.samples < 2:
-            raise UsageError(f"samples must be >= 2, got {self.samples!r}")
-        if not math.isfinite(self.theta):
-            raise UsageError(f"theta must be finite, got {self.theta!r}")
+        if not self.start < self.stop:
+            raise UsageError(f"sweep range needs start < stop, got [{self.start!r}, {self.stop!r}]")
 
     def geometry_at(self, value: float) -> TorusGeometry:
         """Geometry at one sample of the swept variable (gap or stroke)."""
-        return _geometry_at(self.mode, self.R, getattr(self, _FIXED_BY_MODE[self.mode]), value)
+        return _geometry_at(self.mode, self.R, getattr(self, _MOTION[self.mode][0]), value)
 
 
 def _geometry_at(mode: DriveMode, R: float, fixed: float, value: float) -> TorusGeometry:
-    """Geometry at ``value`` of the swept variable: the gap g = 2 r_i or the stroke s = r_o.
-
-    ``fixed`` is the quantity ``mode`` holds constant: r_o, t or r_i.
-    """
-    if mode is DriveMode.CONST_OUTER_RADIUS:
-        return TorusGeometry(R, value / 2.0, fixed)
-    if mode is DriveMode.CONST_THICKNESS:
-        return TorusGeometry(R, value / 2.0, value / 2.0 + fixed)
-    return TorusGeometry(R, fixed, value)
+    """Geometry at ``value`` of the gap or stroke; ``fixed`` is the r_o, t or r_i ``mode`` holds."""
+    held, a_i, a_o = _MOTION[mode]
+    if held == "r_i":
+        return TorusGeometry(R, a_i * value + fixed, a_o * value)
+    return TorusGeometry(R, a_i * value, a_o * value + fixed)
 
 
 @dataclass(frozen=True)
@@ -198,7 +202,8 @@ def _closed_forms(kind: FluxTubeKind, mode: DriveMode, geom: TorusGeometry) -> t
     f, fp = _shape(kind, d)
     gm, t, eta = d.gm0 * f, d.t, d.eta
     R, r_i, r_o = geom.R, geom.r_i, geom.r_o
-    scale = 2.0 if kind.is_quarter and mode in _GAP_MODES else 1.0
+    p, q = _quarter_factors(kind, mode)
+    scale = q / p  # (f, f') already carry p
     if kind.is_outer and d.branch is BranchCase.UNIT:
         # The partials are taken at eta = 1, like (f, f').  The gap modes keep
         # the documented eta = 1 forms verbatim, which the chain rule
@@ -208,13 +213,10 @@ def _closed_forms(kind: FluxTubeKind, mode: DriveMode, geom: TorusGeometry) -> t
             return gm, scale * f * (-(d.gm0 / (2.0 * t)) * (1.0 + 2.0 * R / r_i) / 3.0)
         if mode is DriveMode.CONST_THICKNESS:
             return gm, scale * f * (-(d.gm0 * R) / (3.0 * r_i * r_o))
-    # The mode's partials (dt/dv, t deta/dv).
-    if mode is DriveMode.CONST_OUTER_RADIUS:
-        dt, t_deta = -0.5, 0.5 * (eta - R / r_i)
-    elif mode is DriveMode.CONST_THICKNESS:
-        dt, t_deta = 0.0, -t * R / (2.0 * r_i * r_o)
-    else:
-        dt, t_deta = 1.0, R / r_o - eta
+    # t deta/dv keeps the a_i term apart: R (a_o/r_o - a_i/r_i) cancels on thin tubes.
+    _, a_i, a_o = _MOTION[mode]
+    dt = a_o - a_i
+    t_deta = dt * (R / r_o - eta) - a_i * t * R / (r_i * r_o)
     return gm, scale * (d.gm0 / t) * (dt * f + fp * t_deta)
 
 
@@ -269,27 +271,30 @@ def sweep_force(spec: ActuatorSweepSpec) -> list[ForceSweepRow]:
 
     Rows are ordered by sample index (each is independent of the others).
     Existence transitions emit ``exists=False`` rows with zero force and the
-    floored permeance instead of truncating the table.  The relative
-    deviation is 100 |F_legacy - F| / |F|, left undefined (None) when the
-    exact force is zero or in the stroke mode, for which there is no legacy
-    force model.
+    floored permeance instead of truncating the table.  The legacy cylinder
+    follows the mode's path and takes the tube's quarter factors (module
+    docstring).  The relative deviation is 100 |F_legacy - F| / |F|, left
+    undefined (None) when the exact force is zero or in the stroke mode, for
+    which there is no legacy force model.
     """
     w = spec.legacy_width if spec.legacy_width is not None else 2.0 * math.pi * spec.R
+    _, a_i, a_o = _MOTION[spec.mode]
+    dt = a_o - a_i
+    p, q = _quarter_factors(spec.kind, spec.mode)
+    legacy_scale = 0.5 * spec.theta * spec.theta * q * MU0 * w / math.pi
     step = (spec.stop - spec.start) / (spec.samples - 1)
     rows: list[ForceSweepRow] = []
     for i in range(spec.samples):
         v = spec.stop if i == spec.samples - 1 else spec.start + i * step
         geom = spec.geometry_at(v)
         res = force(spec.theta, spec.kind, spec.mode, geom)
-        gm_legacy = _legacy_permeance(w, geom.r_i, geom.r_o)
+        r_i, r_o = geom.r_i, geom.r_o
+        gm_legacy = p * _legacy_permeance(w, r_i, r_o)
         f_legacy = rel_dev = None
-        if spec.mode is not DriveMode.CONST_INNER_RADIUS:
+        if spec.mode in _GAP_MODES:
             # A vanished tube (t <= 0) has zero legacy force, and zero exact F.
-            t_cur = geom.r_o - geom.r_i
-            f_legacy = 0.0
-            if t_cur > 0.0:
-                dgm_legacy = legacy_gradient(w, t_cur, 2.0 * geom.r_i)
-                f_legacy = 0.5 * spec.theta * spec.theta * dgm_legacy
+            t = r_o - r_i
+            f_legacy = legacy_scale * (dt / r_o - a_i * t / (r_i * r_o)) if t > 0.0 else 0.0
             if res.F != 0.0:
                 rel_dev = 100.0 * abs(f_legacy - res.F) / abs(res.F)
         rows.append(ForceSweepRow(v, res.Gm, res.F, gm_legacy, f_legacy, rel_dev, res.exists))

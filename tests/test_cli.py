@@ -16,6 +16,7 @@ from toroflux import (
     LegacyCylinderSpec,
     Permeance,
     TorusGeometry,
+    derive,
     legacy_half_hollow_cylinder,
     permeance,
 )
@@ -153,6 +154,26 @@ def test_sweep_permeance_fixed_parameter_rows(tmp_path, kind, fixed, value, swee
     assert any(row[4] == "false" for row in rows)
     if fixed != "--t":
         assert any(float(row[2]) == 0.0 for row in rows)
+
+
+@pytest.mark.parametrize("kind", [k.value for k in FluxTubeKind])
+@pytest.mark.parametrize("fixed, value, sweep, radii", [
+    ("--ro", 0.01, "lin:0.001:0.008:8", lambda v, c: (v, c)),
+    ("--t", 0.001, "lin:0.001:0.008:8", lambda v, c: (v, v + c)),
+    ("--ri", 0.001, "lin:0.0015:0.008:8", lambda v, c: (c, v)),
+])
+def test_sweep_permeance_legacy_converges_at_large_eta(tmp_path, kind, fixed, value, sweep, radii):
+    # The wrapped cylinder (a quarter cylinder for a quarter) is the
+    # eta -> infinity limit of every tube: within about 6e-5 at eta = 1e4.
+    out = tmp_path / "large_eta.csv"
+    R = 100.0
+    assert main(["sweep-permeance", "--kind", kind, "--R", str(R), fixed, str(value),
+                 "--range", sweep, "--out", str(out)]) == 0
+    _, rows = read_csv(str(out))
+    for row in rows:
+        assert row[4] == "true"
+        assert derive(TorusGeometry(R, *radii(float(row[0]), value))).eta >= 1.0e4
+        assert abs(float(row[3])) <= 1e-4
 
 
 def test_sweep_row_cap_is_usage_error(capsys):

@@ -25,8 +25,11 @@ from toroflux import (
     permeance_gradient,
     sweep_force,
 )
+from toroflux.oracle import _fixed_and_driving
 
 GAP_MODES = (DriveMode.CONST_OUTER_RADIUS, DriveMode.CONST_THICKNESS)
+GAP_KINDS = [FluxTubeKind.INNER_HALF, FluxTubeKind.OUTER_HALF, FluxTubeKind.INNER_QUARTER,
+             FluxTubeKind.OUTER_QUARTER]
 
 
 def test_allowed_mode_table():
@@ -314,3 +317,73 @@ def test_sweep_spec_accepts_numpy_scalars_as_float():
     assert all(type(getattr(spec, name)) is float for name in ("R", "r_o", "legacy_width"))
     assert (spec.R, spec.r_o, spec.legacy_width) == (float(np.float32(0.01)), 0.012, 1.0)
     assert len(sweep_force(spec)) == 5
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(samples=3.0), dict(samples=2.5), dict(samples="5"), dict(samples=True),
+    dict(theta="1"), dict(theta=True), dict(theta=math.inf),
+    dict(start=True, stop=2.0), dict(start="0.002"), dict(stop=math.inf), dict(stop=None),
+])
+def test_sweep_spec_rejects_malformed_numbers_at_construction(kwargs):
+    base = dict(kind=FluxTubeKind.OUTER_HALF, mode=DriveMode.CONST_THICKNESS, R=0.01, t=0.01,
+                start=0.002, stop=0.022)
+    base.update(kwargs)
+    with pytest.raises(UsageError):
+        ActuatorSweepSpec(**base)
+
+
+def test_sweep_spec_accepts_numpy_integer_samples():
+    import numpy as np
+
+    spec = ActuatorSweepSpec(kind=FluxTubeKind.OUTER_HALF, mode=DriveMode.CONST_THICKNESS,
+                             R=0.01, t=0.01, start=0.002, stop=0.022, samples=np.int64(5),
+                             theta=np.float32(2.0))
+    assert type(spec.samples) is int and type(spec.theta) is float
+    assert len(sweep_force(spec)) == 5
+
+
+@pytest.mark.parametrize("v", [0.0625, 0.25, 0.375, 1.5])
+def test_sweep_paths_are_pinned_literally(v):
+    # gradient_fd walks the same path as the partials, so only a literal pin
+    # catches a wrong path; dyadic values make the inversion exact.
+    R, r_o, t, r_i = 1.0, 0.75, 0.125, 0.0625
+    cases = [
+        (FluxTubeKind.OUTER_HALF, DriveMode.CONST_OUTER_RADIUS, "r_o", r_o, (R, v / 2, r_o)),
+        (FluxTubeKind.OUTER_HALF, DriveMode.CONST_THICKNESS, "t", t, (R, v / 2, v / 2 + t)),
+        (FluxTubeKind.OUTER_QUARTER, DriveMode.CONST_INNER_RADIUS, "r_i", r_i, (R, r_i, v)),
+    ]
+    for kind, mode, field, held, radii in cases:
+        spec = ActuatorSweepSpec(kind=kind, mode=mode, R=R, start=0.01, stop=2.0, **{field: held})
+        geom = spec.geometry_at(v)
+        assert (geom.R, geom.r_i, geom.r_o) == radii
+        assert _fixed_and_driving(mode, geom) == (held, v)
+
+
+@pytest.mark.parametrize("ratio", [1e-6, 1e-9, 1e-11])
+@pytest.mark.parametrize("kind", [k for k in FluxTubeKind
+                                  if DriveMode.CONST_THICKNESS in allowed_modes(k)])
+def test_const_thickness_gradient_on_thin_tubes(kind, ratio):
+    # t/r_i down to 1e-11: the partials must not cancel.  r_i is kept clear of
+    # a power of two, so r_o - r_i rounds t alike at every stencil point.
+    for R, r_i in ((0.02, 0.005), (0.01, 0.002)):
+        geom = TorusGeometry(R, r_i, r_i * (1.0 + ratio))
+        fd = gradient_fd(kind, DriveMode.CONST_THICKNESS, geom)
+        exact = permeance_gradient(kind, DriveMode.CONST_THICKNESS, geom)
+        assert abs(exact - fd) <= 1e-8 * abs(fd)
+
+
+LARGE_ETA = 1.0e4
+
+
+@pytest.mark.parametrize("kind", GAP_KINDS)
+@pytest.mark.parametrize("mode", GAP_MODES)
+def test_legacy_force_converges_at_large_eta(kind, mode):
+    # The wrapped cylinder is the eta -> infinity limit of the torus.  Taken
+    # along the mode's own path, and a quarter against a quarter cylinder, its
+    # force deviates by O(1/eta): about 6e-3 % at eta = 1e4.
+    fixed = {"r_o": 0.01} if mode is DriveMode.CONST_OUTER_RADIUS else {"t": 0.001}
+    spec = ActuatorSweepSpec(kind=kind, mode=mode, R=100.0, start=0.002, stop=0.016,
+                             samples=15, **fixed)
+    rows = sweep_force(spec)
+    assert all(r.exists and derive(spec.geometry_at(r.g)).eta >= LARGE_ETA for r in rows)
+    assert max(r.rel_dev_percent for r in rows) <= 1e-2
