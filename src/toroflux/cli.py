@@ -27,9 +27,8 @@ from .core import (
     validate,
 )
 from .force import (_GAP_MODES, _MOTION, ActuatorSweepSpec, DriveMode, _geometry_at,
-                    _quarter_factors, allowed_modes, permeance_gradient, sweep_force)
+                    _legacy_cylinder, allowed_modes, permeance_gradient, sweep_force)
 from .oracle import gradient_fd, permeance_quadrature
-from .permeance import _legacy_permeance
 from .permeance import permeance as _closed_permeance
 
 # numpy is imported only by the commands that compute with arrays (check,
@@ -152,7 +151,6 @@ def cmd_sweep_permeance(args: argparse.Namespace) -> int:
         _check_row_count(rng.samples)
         curves = [([], modes[0], given[_MOTION[modes[0]][0]], list(rng.values()))]
 
-    width = args.legacy_width if args.legacy_width is not None else 2.0 * math.pi * args.R
     header = ["swept_m"]
     if args.normalized:
         header += ["swept_over_R", "Gm_over_mu0R"]
@@ -161,13 +159,12 @@ def cmd_sweep_permeance(args: argparse.Namespace) -> int:
         header = ["ro_over_R"] + header
     rows: list[list[str]] = []
     for prefix, mode, fixed, swept in curves:
-        # The swept radius is r_i in the gap modes, at v = g = 2 r_i, and r_o
-        # = v in the stroke mode; the legacy cylinder takes the quarter factor.
-        p = _quarter_factors(kind, mode)[0]
+        # The swept radius is r_i at v = g = 2 r_i in the gap modes, r_o = v in the stroke mode.
         for value in swept:
             geom = _geometry_at(mode, args.R, fixed, 2.0 * value if mode in _GAP_MODES else value)
             result = _closed_permeance(kind, geom)
-            legacy = p * _legacy_permeance(width, geom.r_i, geom.r_o)
+            legacy = _legacy_cylinder(kind, mode, args.R, args.legacy_width,
+                                      geom.r_i, geom.r_o, geom.r_o - geom.r_i)[0]
             rel = (legacy - result.value) / result.value if result.value != 0.0 else None
             row = prefix + [_fmt(value)]
             if args.normalized:
@@ -240,25 +237,19 @@ class CheckReport:
         return all(e.passed for e in self.entries)
 
 
-def _sample_geometries(
-    kind: FluxTubeKind,
-    n: int,
-    rng: np.random.Generator,
-    eta_margin: float = 1.0e-3,
-    inner_cap: float = 0.95,
-) -> list[TorusGeometry]:
+def _sample_geometries(kind: FluxTubeKind, n: int, rng: np.random.Generator) -> list[TorusGeometry]:
     # Valid geometries spanning several decades, kept clear of the unit
-    # window and of existence boundaries.
+    # window (|eta - 1| >= 1e-3) and of existence boundaries (inner r_o <= 0.95 R).
     out: list[TorusGeometry] = []
     while len(out) < n:
         R = 10.0 ** rng.uniform(-4.0, 0.0)
         if kind.is_outer:
             r_o = R * 10.0 ** rng.uniform(-1.3, 1.5)
         else:
-            r_o = R * rng.uniform(0.05, inner_cap)
+            r_o = R * rng.uniform(0.05, 0.95)
         r_i = r_o * 10.0 ** rng.uniform(-2.7, math.log10(0.95))
         geom = TorusGeometry(R, r_i, r_o)
-        if abs(derive(geom).eta - 1.0) < eta_margin:
+        if abs(derive(geom).eta - 1.0) < 1.0e-3:
             continue
         out.append(geom)
     return out

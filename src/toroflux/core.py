@@ -19,6 +19,9 @@ MU0 = 4.0e-7 * math.pi
 ETA_UNIT_WINDOW = 1.0e-6
 """Half-width of the closed eta band [1-w, 1+w] evaluated with the eta=1 forms."""
 
+_ETA_HUGE = 1.0e150
+"""Above this eta, sqrt(eta^2 - 1) is taken as eta, to which it rounds; eta^2 overflows at ~1.3e154."""
+
 
 class DomainError(ValueError):
     """An input lies outside the physical or numerical domain of an operation."""
@@ -189,7 +192,7 @@ def derive(geom: TorusGeometry) -> DerivedQuantities:
     branch = classify_branch(eta)
     alpha_plus = alpha_minus = lam = None
     if branch is BranchCase.SUPER:
-        x = math.sqrt(eta * eta - 1.0)
+        x = eta if eta > _ETA_HUGE else math.sqrt(eta * eta - 1.0)
         # arccot(x) = atan(1/x) = pi/2 - atan(x) for x > 0; the atan(x) forms
         # avoid cancellation in alpha_minus as x -> 0.
         alpha_minus = math.atan(x)

@@ -53,7 +53,7 @@ from .core import (
     finite_real,
     validate,
 )
-from .permeance import _legacy_permeance, _shape
+from .permeance import LegacyCylinderSpec, _shape, legacy_half_hollow_cylinder
 
 GM_FLOOR = 1.0e-15
 """Permeance floor [H] reported for vanished tubes on the force pathway.
@@ -254,8 +254,25 @@ def force(vm: float, kind: FluxTubeKind, mode: DriveMode, geom: TorusGeometry) -
     return ForceResult(F=0.5 * vm * vm * dgm, dGm=dgm, Gm=max(gm, GM_FLOOR), exists=True)
 
 
+def _legacy_cylinder(kind: FluxTubeKind, mode: DriveMode, R: float, w: float | None,
+                     r_i: float, r_o: float, t: float, scale: float = 1.0) -> tuple[float, float]:
+    """(G_L, scale dG_L/dv) of the depth-w cylinder on the tube's path (module docstring).
+
+    w defaults to 2 pi R, the only use of R; (0, 0) once t <= 0.  t comes with
+    the radii, so that a caller holding it exactly keeps it exact.  scale (1/2
+    theta^2 for a force) goes in first, keeping F_L's rounding order.
+    """
+    if t <= 0.0:
+        return 0.0, 0.0
+    w = w if w is not None else 2.0 * math.pi * R
+    _, a_i, a_o = _MOTION[mode]
+    p, q = _quarter_factors(kind, mode)
+    gl = legacy_half_hollow_cylinder(LegacyCylinderSpec(w, t, r_i)).value
+    return p * gl, scale * q * MU0 * w / math.pi * ((a_o - a_i) / r_o - a_i * t / (r_i * r_o))
+
+
 def legacy_gradient(w: float, t: float, g: float) -> float:
-    """d/dg of the wrapped-cylinder permeance with the width held constant.
+    """d/dg of the wrapped-cylinder permeance with the width held constant (const-t).
 
     G_m = mu0 w / pi * ln(1 + 2t/g) gives
     dG_m/dg = -(mu0 w / pi) * 2t / (g (g + 2t)), negative for all valid inputs.
@@ -263,7 +280,8 @@ def legacy_gradient(w: float, t: float, g: float) -> float:
     widening with the gap.
     """
     w, t, g = finite_positive("w", w), finite_positive("t", t), finite_positive("g", g)
-    return -(MU0 * w / math.pi) * 2.0 * t / (g * (g + 2.0 * t))
+    return _legacy_cylinder(FluxTubeKind.OUTER_HALF, DriveMode.CONST_THICKNESS, math.nan, w,
+                            0.5 * g, 0.5 * g + t, t)[1]
 
 
 def sweep_force(spec: ActuatorSweepSpec) -> list[ForceSweepRow]:
@@ -277,25 +295,19 @@ def sweep_force(spec: ActuatorSweepSpec) -> list[ForceSweepRow]:
     undefined (None) when the exact force is zero or in the stroke mode, for
     which there is no legacy force model.
     """
-    w = spec.legacy_width if spec.legacy_width is not None else 2.0 * math.pi * spec.R
-    _, a_i, a_o = _MOTION[spec.mode]
-    dt = a_o - a_i
-    p, q = _quarter_factors(spec.kind, spec.mode)
-    legacy_scale = 0.5 * spec.theta * spec.theta * q * MU0 * w / math.pi
     step = (spec.stop - spec.start) / (spec.samples - 1)
     rows: list[ForceSweepRow] = []
     for i in range(spec.samples):
         v = spec.stop if i == spec.samples - 1 else spec.start + i * step
         geom = spec.geometry_at(v)
         res = force(spec.theta, spec.kind, spec.mode, geom)
-        r_i, r_o = geom.r_i, geom.r_o
-        gm_legacy = p * _legacy_permeance(w, r_i, r_o)
-        f_legacy = rel_dev = None
-        if spec.mode in _GAP_MODES:
-            # A vanished tube (t <= 0) has zero legacy force, and zero exact F.
-            t = r_o - r_i
-            f_legacy = legacy_scale * (dt / r_o - a_i * t / (r_i * r_o)) if t > 0.0 else 0.0
-            if res.F != 0.0:
-                rel_dev = 100.0 * abs(f_legacy - res.F) / abs(res.F)
+        gm_legacy, f_legacy = _legacy_cylinder(spec.kind, spec.mode, spec.R, spec.legacy_width,
+                                               geom.r_i, geom.r_o, geom.r_o - geom.r_i,
+                                               0.5 * spec.theta * spec.theta)
+        rel_dev = None
+        if spec.mode not in _GAP_MODES:
+            f_legacy = None
+        elif res.F != 0.0:
+            rel_dev = 100.0 * abs(f_legacy - res.F) / abs(res.F)
         rows.append(ForceSweepRow(v, res.Gm, res.F, gm_legacy, f_legacy, rel_dev, res.exists))
     return rows

@@ -172,9 +172,9 @@ def _reluctance_quadrature(
 ) -> tuple[np.ndarray, np.ndarray]:
     import numpy as np
 
-    # Independent of derive(): eta from raw radii, plain log.
+    # Independent of derive(): eta from raw radii, by log1p(t/r_i) to keep thin tubes' digits.
     t = np.array([g.r_o - g.r_i for g in geoms])
-    eta = np.array([(g.R / (g.r_o - g.r_i)) * math.log(g.r_o / g.r_i) for g in geoms])
+    eta = np.array([(g.R / (g.r_o - g.r_i)) * math.log1p((g.r_o - g.r_i) / g.r_i) for g in geoms])
 
     def integrand(theta: np.ndarray) -> np.ndarray:
         return 1.0 / (eta + sign * np.sin(theta)[:, None])

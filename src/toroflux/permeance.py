@@ -34,6 +34,7 @@ import math
 from dataclasses import dataclass
 
 from .core import (
+    _ETA_HUGE,
     MU0,
     BranchCase,
     DerivedQuantities,
@@ -87,7 +88,7 @@ def _shape(kind: FluxTubeKind, d: DerivedQuantities) -> tuple[float, float]:
     eta = d.eta
     if kind is FluxTubeKind.OUTER_HALF:
         if d.branch is BranchCase.SUPER:
-            x = math.sqrt(eta * eta - 1.0)
+            x = eta if eta > _ETA_HUGE else math.sqrt(eta * eta - 1.0)
             return x / d.alpha_minus, (eta / x - 1.0 / (eta * d.alpha_minus)) / d.alpha_minus
         if d.branch is BranchCase.UNIT:
             return 1.0, 2.0 / 3.0
@@ -100,7 +101,7 @@ def _shape(kind: FluxTubeKind, d: DerivedQuantities) -> tuple[float, float]:
         )
     # SUPER or UNIT; within the unit window the tube is nearly degenerate and
     # the single closed form stays numerically safe (no cancelling denominator).
-    x = math.sqrt(max(eta * eta - 1.0, 0.0))
+    x = eta if eta > _ETA_HUGE else math.sqrt(max(eta * eta - 1.0, 0.0))
     if x == 0.0:
         # Thickness at rounding level: f' diverges like 1/x, but G_m0 f' -> 0.
         return 0.0, 0.0
@@ -140,11 +141,3 @@ def legacy_half_hollow_cylinder(spec: LegacyCylinderSpec) -> Permeance:
     in the limit (R/t) ln(r_o/r_i) -> infinity.
     """
     return Permeance(MU0 * spec.w / math.pi * math.log1p(spec.t / spec.r_i))
-
-
-def _legacy_permeance(w: float, r_i: float, r_o: float) -> float:
-    """Legacy permeance [H] of depth ``w`` between r_i and r_o; 0 once the tube has vanished."""
-    t = r_o - r_i
-    if t <= 0.0:
-        return 0.0
-    return legacy_half_hollow_cylinder(LegacyCylinderSpec(w, t, r_i)).value

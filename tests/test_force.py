@@ -24,6 +24,7 @@ from toroflux import (
     permeance,
     permeance_gradient,
     sweep_force,
+    validate,
 )
 from toroflux.oracle import _fixed_and_driving
 
@@ -387,3 +388,36 @@ def test_legacy_force_converges_at_large_eta(kind, mode):
     rows = sweep_force(spec)
     assert all(r.exists and derive(spec.geometry_at(r.g)).eta >= LARGE_ETA for r in rows)
     assert max(r.rel_dev_percent for r in rows) <= 1e-2
+
+
+@pytest.mark.parametrize("R", [0.01, 100.0])
+@pytest.mark.parametrize("kind", GAP_KINDS)
+@pytest.mark.parametrize("mode", GAP_MODES)
+def test_legacy_force_is_the_path_derivative_of_the_legacy_permeance(kind, mode, R):
+    # F_L = 1/2 theta^2 (q/p) d(p G_L)/dv along the sweep's own path, with G_L
+    # taken from legacy_half_hollow_cylinder and differentiated by Richardson.
+    from toroflux import LegacyCylinderSpec, legacy_half_hollow_cylinder
+
+    theta, w = 1.7, 0.05
+    p, q = (2.0, 4.0) if kind.is_quarter else (1.0, 1.0)
+    fixed = {"r_o": 0.009} if mode is DriveMode.CONST_OUTER_RADIUS else {"t": 0.004}
+    spec = ActuatorSweepSpec(kind=kind, mode=mode, R=R, start=0.002, stop=0.03, samples=60,
+                             theta=theta, legacy_width=w, **fixed)
+
+    def p_legacy(v):
+        geom = spec.geometry_at(v)
+        spec_l = LegacyCylinderSpec(w, geom.r_o - geom.r_i, geom.r_i)
+        return p * legacy_half_hollow_cylinder(spec_l).value
+
+    checked = 0
+    for row in sweep_force(spec):
+        h = 1e-4 * row.g
+        stencil = [spec.geometry_at(row.g + dv) for dv in (-h, 0.0, h)]
+        if not all(validate(kind, geom).exists for geom in stencil):
+            continue
+        d_h = (p_legacy(row.g + h) - p_legacy(row.g - h)) / (2.0 * h)
+        d_h2 = (p_legacy(row.g + h / 2) - p_legacy(row.g - h / 2)) / h
+        expected = 0.5 * theta * theta * (q / p) * (4.0 * d_h2 - d_h) / 3.0
+        assert row.force_legacy == pytest.approx(expected, rel=1e-9)
+        checked += 1
+    assert checked >= 20

@@ -185,6 +185,17 @@ def test_quadrature_rel_error_is_scale_free(monkeypatch, kind, scale):
     assert report.rel_error == pytest.approx(1e-6, rel=1e-6)
 
 
+@pytest.mark.parametrize("kind", list(FluxTubeKind))
+@pytest.mark.parametrize("ratio", [1e-6, 1e-11])
+def test_quadrature_eta_keeps_thin_tube_digits(kind, ratio):
+    # eta via log(r_o/r_i) amplifies the rounding of r_o/r_i by r_i/t: at
+    # t/r_i = 1e-11 it misread the closed form by up to 2.2e-6.
+    r_i = 0.005
+    report = permeance_quadrature(kind, TorusGeometry(0.01, r_i, r_i * (1.0 + ratio)))
+    assert report.converged
+    assert report.rel_error <= 1e-13
+
+
 def test_quadrature_near_unit_window_outer():
     # The quadrature is branch-free: just outside the window on both sides it
     # still matches the closed form tightly while the branch switches.

@@ -13,7 +13,9 @@ from toroflux import (
     FluxTubeKind,
     LegacyCylinderSpec,
     TorusGeometry,
+    allowed_modes,
     derive,
+    force,
     legacy_half_hollow_cylinder,
     permeance,
     permeance_quadrature,
@@ -175,3 +177,18 @@ def test_legacy_asymptote_at_large_eta(kind):
 def test_permeance_nonnegative_and_flagged(geom):
     result = permeance(FluxTubeKind.OUTER_HALF, geom)
     assert result.exists and result.value > 0.0
+
+
+@pytest.mark.parametrize("geom", [TorusGeometry(1.0, 1e-160, 2e-160),
+                                  TorusGeometry(1e300, 1.0, 2.0)])
+@pytest.mark.parametrize("kind", list(FluxTubeKind))
+def test_huge_eta_stays_finite(geom, kind):
+    # eta = 6.9e159 and 6.9e299: eta^2 overflows, yet the tube is its legacy
+    # limit, p 2 mu0 R ln(r_o/r_i), and every force stays finite.
+    p = 2.0 if kind.is_quarter else 1.0
+    expected = p * 2.0 * MU0 * geom.R * math.log(geom.r_o / geom.r_i)
+    value = permeance(kind, geom).value
+    assert math.isfinite(value)
+    assert abs(value - expected) <= 1e-15 * expected
+    for mode in allowed_modes(kind):
+        assert math.isfinite(force(1.0, kind, mode, geom).F)
