@@ -240,18 +240,20 @@ class CheckReport:
 def _sample_geometries(kind: FluxTubeKind, n: int, rng: np.random.Generator) -> list[TorusGeometry]:
     # Valid geometries spanning several decades, kept clear of the unit
     # window (|eta - 1| >= 1e-3) and of existence boundaries (inner r_o <= 0.95 R).
+    # Each block draws three numbers for each sample still needed, so the
+    # stream is read exactly as far as drawing one candidate at a time would.
+    outer = kind.is_outer
+    lo, hi = (-1.3, 1.5) if outer else (0.05, 0.95)
     out: list[TorusGeometry] = []
     while len(out) < n:
-        R = 10.0 ** rng.uniform(-4.0, 0.0)
-        if kind.is_outer:
-            r_o = R * 10.0 ** rng.uniform(-1.3, 1.5)
-        else:
-            r_o = R * rng.uniform(0.05, 0.95)
-        r_i = r_o * 10.0 ** rng.uniform(-2.7, math.log10(0.95))
-        geom = TorusGeometry(R, r_i, r_o)
-        if abs(derive(geom).eta - 1.0) < 1.0e-3:
-            continue
-        out.append(geom)
+        block = rng.uniform((-4.0, lo, -2.7), (0.0, hi, math.log10(0.95)), size=(n - len(out), 3))
+        for e_R, v, e_i in block.tolist():
+            R = 10.0 ** e_R
+            r_o = R * (10.0 ** v if outer else v)
+            geom = TorusGeometry(R, r_o * 10.0 ** e_i, r_o)
+            if abs(derive(geom).eta - 1.0) < 1.0e-3:
+                continue
+            out.append(geom)
     return out
 
 

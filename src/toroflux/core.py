@@ -66,6 +66,10 @@ class FluxTubeKind(Enum):
     INNER_QUARTER = "inner-quarter"
     OUTER_QUARTER = "outer-quarter"
 
+    # Members are singletons compared by identity, so the C-level identity hash
+    # serves every dict and set lookup; Enum's own __hash__ runs in Python.
+    __hash__ = object.__hash__
+
     @property
     def is_inner(self) -> bool:
         """True for tubes on the axis side of the pole (these require r_o <= R)."""
@@ -91,7 +95,7 @@ class BranchCase(IntEnum):
     SUPER = 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TorusGeometry:
     """Defining radii of a hollow-toroid flux tube, all in meters.
 
@@ -105,6 +109,10 @@ class TorusGeometry:
     r_o: float
 
     def __post_init__(self) -> None:
+        R, r_i, r_o = self.R, self.r_i, self.r_o
+        if (type(R) is float and type(r_i) is float and type(r_o) is float
+                and 0.0 < R < math.inf and 0.0 < r_i < math.inf and 0.0 < r_o < math.inf):
+            return
         for name in ("R", "r_i", "r_o"):
             object.__setattr__(self, name, finite_positive(name, getattr(self, name)))
 
@@ -114,7 +122,10 @@ class TorusGeometry:
 
 @dataclass(frozen=True)
 class DerivedQuantities:
-    """Everything the closed forms need, derived from a :class:`TorusGeometry`.
+    """The closed forms' intermediate quantities for a :class:`TorusGeometry`.
+
+    :func:`derive` gives them to explain a value; ``permeance`` and ``force``
+    compute the same numbers from the radii without building this record.
 
     ``alpha_plus``/``alpha_minus`` are populated only on the SUPER branch,
     ``lam`` only on the SUB branch.  For a degenerate tube (``r_o == r_i``)
@@ -192,7 +203,7 @@ def derive(geom: TorusGeometry) -> DerivedQuantities:
     branch = classify_branch(eta)
     alpha_plus = alpha_minus = lam = None
     if branch is BranchCase.SUPER:
-        x = eta if eta > _ETA_HUGE else math.sqrt(eta * eta - 1.0)
+        x = _x(eta)
         # arccot(x) = atan(1/x) = pi/2 - atan(x) for x > 0; the atan(x) forms
         # avoid cancellation in alpha_minus as x -> 0.
         alpha_minus = math.atan(x)
@@ -210,6 +221,11 @@ def derive(geom: TorusGeometry) -> DerivedQuantities:
         lam=lam,
         degenerate=(t == 0.0),
     )
+
+
+def _x(eta: float) -> float:
+    """x = sqrt(eta^2 - 1) for eta >= 1, clamped to 0 just below; eta itself above _ETA_HUGE."""
+    return eta if eta > _ETA_HUGE else math.sqrt(max(eta * eta - 1.0, 0.0))
 
 
 def _lambda(eta: float) -> float:

@@ -48,7 +48,8 @@ from .core import (
     FluxTubeKind,
     TorusGeometry,
     UsageError,
-    derive,
+    _eta,
+    classify_branch,
     finite_positive,
     finite_real,
     validate,
@@ -69,6 +70,8 @@ class DriveMode(Enum):
     CONST_OUTER_RADIUS = "const-ro"
     CONST_THICKNESS = "const-t"
     CONST_INNER_RADIUS = "const-ri"
+
+    __hash__ = object.__hash__  # as FluxTubeKind's: members are singletons
 
 
 _GAP_MODES = (DriveMode.CONST_OUTER_RADIUS, DriveMode.CONST_THICKNESS)
@@ -106,7 +109,7 @@ def _quarter_factors(kind: FluxTubeKind, mode: DriveMode) -> tuple[float, float]
     return 1.0, 1.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ForceResult:
     """Force [N], the gradient [H/m] and permeance [H] it came from, and existence."""
 
@@ -174,7 +177,7 @@ def _geometry_at(mode: DriveMode, R: float, fixed: float, value: float) -> Torus
     return TorusGeometry(R, a_i * value, a_o * value + fixed)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ForceSweepRow:
     """One sweep sample.
 
@@ -192,32 +195,35 @@ class ForceSweepRow:
     exists: bool
 
 
-def _closed_forms(kind: FluxTubeKind, mode: DriveMode, geom: TorusGeometry) -> tuple[float, float]:
-    """(G_m, dG_m/dv) of an existing tube from one derive and one (f, f') lookup.
+def _closed_forms(kind: FluxTubeKind, mode: DriveMode, R: float, r_i: float,
+                  r_o: float) -> tuple[float, float]:
+    """(G_m, dG_m/dv) of an existing tube from its radii and one (f, f') lookup.
 
     The chain rule of the module docstring, factored as
     (G_m0/t) [dt/dv f + f' t deta/dv]; a gap-driven quarter doubles it once more.
     """
-    d = derive(geom)
-    f, fp = _shape(kind, d)
-    gm, t, eta = d.gm0 * f, d.t, d.eta
-    R, r_i, r_o = geom.R, geom.r_i, geom.r_o
+    t = r_o - r_i
+    eta = _eta(R, r_i, t)
+    branch = classify_branch(eta)
+    f, fp = _shape(kind, eta, branch)
+    gm0 = math.pi * MU0 * t
+    gm = gm0 * f
     p, q = _quarter_factors(kind, mode)
     scale = q / p  # (f, f') already carry p
-    if kind.is_outer and d.branch is BranchCase.UNIT:
+    if branch is BranchCase.UNIT and kind.is_outer:
         # The partials are taken at eta = 1, like (f, f').  The gap modes keep
         # the documented eta = 1 forms verbatim, which the chain rule
         # reproduces only to rounding; f is 1 (half) or 2 (quarter).
         eta = 1.0
         if mode is DriveMode.CONST_OUTER_RADIUS:
-            return gm, scale * f * (-(d.gm0 / (2.0 * t)) * (1.0 + 2.0 * R / r_i) / 3.0)
+            return gm, scale * f * (-(gm0 / (2.0 * t)) * (1.0 + 2.0 * R / r_i) / 3.0)
         if mode is DriveMode.CONST_THICKNESS:
-            return gm, scale * f * (-(d.gm0 * R) / (3.0 * r_i * r_o))
+            return gm, scale * f * (-(gm0 * R) / (3.0 * r_i * r_o))
     # t deta/dv keeps the a_i term apart: R (a_o/r_o - a_i/r_i) cancels on thin tubes.
     _, a_i, a_o = _MOTION[mode]
     dt = a_o - a_i
     t_deta = dt * (R / r_o - eta) - a_i * t * R / (r_i * r_o)
-    return gm, scale * (d.gm0 / t) * (dt * f + fp * t_deta)
+    return gm, scale * (gm0 / t) * (dt * f + fp * t_deta)
 
 
 def permeance_gradient(kind: FluxTubeKind, mode: DriveMode, geom: TorusGeometry) -> float:
@@ -243,12 +249,14 @@ def force(vm: float, kind: FluxTubeKind, mode: DriveMode, geom: TorusGeometry) -
     _check_mode(kind, mode)
     if not math.isfinite(vm):
         raise DomainError(f"magnetic tension must be finite, got {vm!r}")
-    frozen = kind.is_inner and mode is DriveMode.CONST_INNER_RADIUS and geom.r_o > geom.R
+    R, r_i, r_o = geom.R, geom.r_i, geom.r_o
+    frozen = mode is DriveMode.CONST_INNER_RADIUS and r_o > R and kind.is_inner
     if frozen:
-        geom = TorusGeometry(geom.R, geom.r_i, geom.R)
+        geom = TorusGeometry(R, r_i, R)
+        r_o = R
     if not validate(kind, geom).exists:
         return ForceResult(F=0.0, dGm=0.0, Gm=GM_FLOOR, exists=False)
-    gm, dgm = _closed_forms(kind, mode, geom)
+    gm, dgm = _closed_forms(kind, mode, R, r_i, r_o)
     if frozen:
         return ForceResult(F=0.0, dGm=0.0, Gm=max(gm, GM_FLOOR), exists=True)
     return ForceResult(F=0.5 * vm * vm * dgm, dGm=dgm, Gm=max(gm, GM_FLOOR), exists=True)

@@ -34,20 +34,21 @@ import math
 from dataclasses import dataclass
 
 from .core import (
-    _ETA_HUGE,
     MU0,
     BranchCase,
-    DerivedQuantities,
     DomainError,
     FluxTubeKind,
     TorusGeometry,
-    derive,
+    _eta,
+    _lambda,
+    _x,
+    classify_branch,
     finite_positive,
     validate,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Permeance:
     """A permeance value [H]; ``exists`` is False for a vanished tube (value 0)."""
 
@@ -75,39 +76,40 @@ _HALF_OF = {
 }
 
 
-def _shape(kind: FluxTubeKind, d: DerivedQuantities) -> tuple[float, float]:
-    """(f, f') of the tube on d's branch: G_m = G_m0 f(eta) and f' = df/deta.
+def _shape(kind: FluxTubeKind, eta: float, branch: BranchCase) -> tuple[float, float]:
+    """(f, f') of the tube at eta on its branch: G_m = G_m0 f(eta) and f' = df/deta.
 
     A quarter has twice the (f, f') of its half.  An inner-side or lower-half
     tube on the SUB branch raises :class:`DomainError`.
     """
     half = _HALF_OF.get(kind)
     if half is not None:
-        f, fp = _shape(half, d)
+        f, fp = _shape(half, eta, branch)
         return 2.0 * f, 2.0 * fp
-    eta = d.eta
     if kind is FluxTubeKind.OUTER_HALF:
-        if d.branch is BranchCase.SUPER:
-            x = eta if eta > _ETA_HUGE else math.sqrt(eta * eta - 1.0)
-            return x / d.alpha_minus, (eta / x - 1.0 / (eta * d.alpha_minus)) / d.alpha_minus
-        if d.branch is BranchCase.UNIT:
+        if branch is BranchCase.SUPER:
+            x = _x(eta)
+            alpha_minus = math.atan(x)
+            return x / alpha_minus, (eta / x - 1.0 / (eta * alpha_minus)) / alpha_minus
+        if branch is BranchCase.UNIT:
             return 1.0, 2.0 / 3.0
         y = math.sqrt((1.0 - eta) * (1.0 + eta))
-        return 2.0 * y / d.lam, (2.0 / d.lam) * (2.0 / (eta * d.lam) - eta / y)
-    if d.branch is BranchCase.SUB:
+        lam = _lambda(eta)
+        return 2.0 * y / lam, (2.0 / lam) * (2.0 / (eta * lam) - eta / y)
+    if branch is BranchCase.SUB:
         raise DomainError(
             f"{kind.value} tube requires eta > 1, got eta={eta!r} "
             "(the inner quarter constituent does not exist below eta = 1)"
         )
     # SUPER or UNIT; within the unit window the tube is nearly degenerate and
     # the single closed form stays numerically safe (no cancelling denominator).
-    x = eta if eta > _ETA_HUGE else math.sqrt(max(eta * eta - 1.0, 0.0))
+    x = _x(eta)
     if x == 0.0:
         # Thickness at rounding level: f' diverges like 1/x, but G_m0 f' -> 0.
         return 0.0, 0.0
     if kind is FluxTubeKind.LOWER_HALF:
         return x / (0.5 * math.pi), eta / x / (0.5 * math.pi)
-    alpha_plus = d.alpha_plus if d.alpha_plus is not None else math.pi - math.atan(x)
+    alpha_plus = math.pi - math.atan(x)
     return x / alpha_plus, (eta / x + 1.0 / (eta * alpha_plus)) / alpha_plus
 
 
@@ -121,8 +123,10 @@ def permeance(kind: FluxTubeKind, geom: TorusGeometry) -> Permeance:
     """
     if not validate(kind, geom).exists:
         return Permeance(0.0, exists=False)
-    d = derive(geom)
-    return Permeance(d.gm0 * _shape(kind, d)[0])
+    r_i = geom.r_i
+    t = geom.r_o - r_i
+    eta = _eta(geom.R, r_i, t)
+    return Permeance(math.pi * MU0 * t * _shape(kind, eta, classify_branch(eta))[0])
 
 
 def reluctance(kind: FluxTubeKind, geom: TorusGeometry) -> float:

@@ -1,6 +1,9 @@
 """Tests for geometry, derived quantities and branch classification."""
 
+import copy
+import dataclasses
 import math
+import pickle
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,13 +13,18 @@ from conftest import geometry_strategy
 from toroflux import (
     ETA_UNIT_WINDOW,
     MU0,
+    ActuatorSweepSpec,
     BranchCase,
     DomainError,
+    DriveMode,
     FluxTubeKind,
     TorusGeometry,
     arccot,
     classify_branch,
     derive,
+    force,
+    permeance,
+    sweep_force,
     validate,
 )
 
@@ -170,3 +178,27 @@ def test_classify_branch_monotone(a, b):
 @given(geom=geometry_strategy(FluxTubeKind.INNER_HALF))
 def test_eta_always_positive(geom):
     assert derive(geom).eta > 0.0
+
+
+def test_slotted_results_round_trip():
+    # The result classes carry __slots__; copies through pickle, copy and
+    # dataclasses.replace are equal, hash alike and print alike.
+    geom = TorusGeometry(0.01, 0.004, 0.014)
+    spec = ActuatorSweepSpec(FluxTubeKind.OUTER_HALF, DriveMode.CONST_THICKNESS, 0.01,
+                             0.002, 0.022, t=0.01)
+    for obj in (geom, permeance(FluxTubeKind.OUTER_HALF, geom),
+                force(1.0, FluxTubeKind.OUTER_HALF, DriveMode.CONST_THICKNESS, geom),
+                sweep_force(spec)[3]):
+        assert not hasattr(obj, "__dict__")
+        for twin in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj),
+                     dataclasses.replace(obj)):
+            assert type(twin) is type(obj)
+            assert twin == obj and hash(twin) == hash(obj) and repr(twin) == repr(obj)
+
+
+def test_enum_members_hash_by_identity_and_round_trip():
+    for member in [*FluxTubeKind, *DriveMode]:
+        assert hash(member) == object.__hash__(member)
+        assert type(member)(member.value) is member
+        assert pickle.loads(pickle.dumps(member)) is member
+    assert {FluxTubeKind.OUTER_HALF: 1}[FluxTubeKind("outer-half")] == 1

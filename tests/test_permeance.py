@@ -192,3 +192,47 @@ def test_huge_eta_stays_finite(geom, kind):
     assert abs(value - expected) <= 1e-15 * expected
     for mode in allowed_modes(kind):
         assert math.isfinite(force(1.0, kind, mode, geom).F)
+
+
+def _branch_geometries():
+    # Per branch, (R, r_i, r_o) with R set so that eta is on target:
+    # eta = (R/r_i) log1p(u)/u for r_o = r_i (1 + u).
+    out = []
+    for eta, u in [(7.3, 3.0), (1.5, 0.2), (1.0 + 1e-3, 0.01), (1.0 + 3e-7, 0.5), (1.0, 1e-3),
+                   (1.0 - 5e-7, 2.0), (0.97, 0.7), (0.2, 9.0), (1e-3, 40.0)]:
+        r_i = 0.01
+        out.append((eta * r_i / (math.log1p(u) / u), r_i, r_i * (1.0 + u)))
+    return out
+
+
+@pytest.mark.parametrize("R,r_i,r_o", _branch_geometries())
+def test_derived_quantities_reproduce_permeance_bit_for_bit(R, r_i, r_o):
+    # derive() explains a value: its fields, put into the closed forms of the
+    # module docstring, give exactly what permeance() returns.
+    geom = TorusGeometry(R, r_i, r_o)
+    d = derive(geom)
+    eta = d.eta
+    got = {kind: permeance(kind, geom).value for kind in (FluxTubeKind.OUTER_HALF,
+                                                          FluxTubeKind.OUTER_QUARTER)}
+    if d.branch is BranchCase.SUPER:
+        x = math.sqrt(eta * eta - 1.0)
+        assert got[FluxTubeKind.OUTER_HALF] == d.gm0 * (x / d.alpha_minus)
+        assert got[FluxTubeKind.OUTER_QUARTER] == d.gm0 * (2.0 * (x / d.alpha_minus))
+        assert permeance(FluxTubeKind.LOWER_HALF, geom).value == d.gm0 * (x / (0.5 * math.pi))
+        if r_o <= R:  # the inner tubes exist too
+            assert permeance(FluxTubeKind.INNER_HALF, geom).value == d.gm0 * (x / d.alpha_plus)
+            assert permeance(FluxTubeKind.INNER_QUARTER, geom).value == (
+                d.gm0 * (2.0 * (x / d.alpha_plus)))
+    elif d.branch is BranchCase.UNIT:
+        assert got[FluxTubeKind.OUTER_HALF] == d.gm0
+        assert got[FluxTubeKind.OUTER_QUARTER] == 2.0 * d.gm0
+    else:
+        y = math.sqrt((1.0 - eta) * (1.0 + eta))
+        assert got[FluxTubeKind.OUTER_HALF] == d.gm0 * (2.0 * y / d.lam)
+        assert got[FluxTubeKind.OUTER_QUARTER] == d.gm0 * (2.0 * (2.0 * y / d.lam))
+
+
+def test_branch_geometries_cover_every_branch():
+    geoms = _branch_geometries()
+    assert {derive(TorusGeometry(*g)).branch for g in geoms} == set(BranchCase)
+    assert sum(r_o <= R for R, _, r_o in geoms) >= 2
