@@ -92,6 +92,24 @@ GROUPS = {
         "sweep-permeance", "--kind", "inner-half", "--R", "0.001", "--family",
         "0.1,0.2,0.4,0.8", "--range", "log:0.01:1.0:60", "--normalized"),
     "cli check quick": lambda: _cli("check", "--preset", "quick"),
+    "cli sweep-force inner-quarter const-ri vanished and frozen": lambda: _cli(
+        "sweep-force", "--kind", "inner-quarter", "--mode", "const-ri", "--R", "0.01",
+        "--ri", "0.004", "--range", "lin:0.001:0.02:120"),
+    "cli sweep-force outer-quarter const-t across eta = 1": lambda: _cli(
+        "sweep-force", "--kind", "outer-quarter", "--mode", "const-t", "--R", "0.01",
+        "--t", "0.003", "--theta", "2.5", "--range", "lin:0.0005:0.05:150"),
+    "cli sweep-force inner-half const-ro legacy width": lambda: _cli(
+        "sweep-force", "--kind", "inner-half", "--mode", "const-ro", "--R", "0.01",
+        "--ro", "0.008", "--legacy-width", "0.05", "--range", "lin:0.001:0.02:100"),
+    "cli sweep-permeance outer-half ro": lambda: _cli(
+        "sweep-permeance", "--kind", "outer-half", "--R", "0.01", "--ro", "0.02",
+        "--range", "lin:0.001:0.03:80"),
+    "cli sweep-permeance inner-quarter t normalized": lambda: _cli(
+        "sweep-permeance", "--kind", "inner-quarter", "--R", "0.01", "--t", "0.002",
+        "--range", "log:0.0001:0.02:80", "--normalized"),
+    "cli sweep-permeance outer-quarter ri legacy width": lambda: _cli(
+        "sweep-permeance", "--kind", "outer-quarter", "--R", "0.01", "--ri", "0.002",
+        "--range", "lin:0.001:0.05:80", "--legacy-width", "0.03"),
 }
 
 GOLDEN = {
@@ -109,6 +127,18 @@ GOLDEN = {
         "2b115eaa570bda168762f84b54d933120172acca440f548b3294c765bf44012c",
     "cli check quick":
         "bf8af80552bb7c27c13d2a2d7000156cd40350dda4462bccbad324cd1260aaf7",
+    "cli sweep-force inner-quarter const-ri vanished and frozen":
+        "3c4cc483127531b910088d95bf76f8d5caec61bc7b61cd5bf51a159c0004d2a6",
+    "cli sweep-force outer-quarter const-t across eta = 1":
+        "b71766dbd77ec2ee4b195911b121d4020a3a55b4c9c5c44e3c8199e411b58f9d",
+    "cli sweep-force inner-half const-ro legacy width":
+        "7d9741744bc59cc9b633f7776e914062f1dd97d275f082a33b2a847710ab0837",
+    "cli sweep-permeance outer-half ro":
+        "fc0a9c62a3be8ae04bf5ab73b65d8aa04bf836bde866c3d911396a7f5f9fc472",
+    "cli sweep-permeance inner-quarter t normalized":
+        "e4221e513db0aaf4169351df30fe59acfae0e0d179a857fd805eb7c415d49859",
+    "cli sweep-permeance outer-quarter ri legacy width":
+        "d17a2e4d3b570375cfbdadd71dff0e2f2c9d55b79fea17c8d1c63b377236105e",
 }
 
 
