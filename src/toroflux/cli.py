@@ -26,9 +26,10 @@ from .core import (
     finite_positive,
     validate,
 )
-from .force import (_GAP_MODES, _MOTION, ActuatorSweepSpec, DriveMode, _geometry_at,
-                    _legacy_cylinder, allowed_modes, permeance_gradient, sweep_force)
+from .force import (_GAP_MODES, _MOTION, ActuatorSweepSpec, DriveMode, _path,
+                    _quarter_factors, allowed_modes, permeance_gradient, sweep_force)
 from .oracle import gradient_fd, permeance_quadrature
+from .permeance import LegacyCylinderSpec, legacy_half_hollow_cylinder
 from .permeance import permeance as _closed_permeance
 
 # numpy is imported only by the commands that compute with arrays (check,
@@ -143,13 +144,13 @@ def cmd_sweep_permeance(args: argparse.Namespace) -> int:
         # (prefix, mode, fixed, swept) per curve: r_i swept as a fraction of R
         # at fixed r_o, clamped so r_i <= r_o per family curve.
         curves = [([_fmt(ratio)], DriveMode.CONST_OUTER_RADIUS, ratio * args.R,
-                   [f * args.R for f in rng.values(stop=min(rng.stop, ratio))])
+                   [f * args.R for f in rng.values(stop=min(rng.stop, ratio)).tolist()])
                   for ratio in families if min(rng.stop, ratio) > rng.start]
     else:
         if len(modes) != 1:
             raise UsageError("give exactly one fixed parameter: --ro, --t, --ri or --family")
         _check_row_count(rng.samples)
-        curves = [([], modes[0], given[_MOTION[modes[0]][0]], list(rng.values()))]
+        curves = [([], modes[0], given[_MOTION[modes[0]][0]], rng.values().tolist())]
 
     header = ["swept_m"]
     if args.normalized:
@@ -157,18 +158,26 @@ def cmd_sweep_permeance(args: argparse.Namespace) -> int:
     header += ["Gm_H", "Gm_legacy_H", "rel_dev", "exists"]
     if args.family is not None:
         header = ["ro_over_R"] + header
+    R, normalized = args.R, args.normalized
+    w = args.legacy_width if args.legacy_width is not None else 2.0 * math.pi * R
+    mu0_R = MU0 * R
     rows: list[list[str]] = []
     for prefix, mode, fixed, swept in curves:
+        a_i, b_i, a_o, b_o = _path(mode, fixed)
+        p = _quarter_factors(kind, mode)[0]
+        gap = mode in _GAP_MODES
         # The swept radius is r_i at v = g = 2 r_i in the gap modes, r_o = v in the stroke mode.
         for value in swept:
-            geom = _geometry_at(mode, args.R, fixed, 2.0 * value if mode in _GAP_MODES else value)
-            result = _closed_permeance(kind, geom)
-            legacy = _legacy_cylinder(kind, mode, args.R, args.legacy_width,
-                                      geom.r_i, geom.r_o, geom.r_o - geom.r_i)[0]
+            v = 2.0 * value if gap else value
+            r_i, r_o = a_i * v + b_i, a_o * v + b_o
+            result = _closed_permeance(kind, TorusGeometry(R, r_i, r_o))
+            t = r_o - r_i
+            legacy = (p * legacy_half_hollow_cylinder(LegacyCylinderSpec(w, t, r_i)).value
+                      if t > 0.0 else 0.0)
             rel = (legacy - result.value) / result.value if result.value != 0.0 else None
             row = prefix + [_fmt(value)]
-            if args.normalized:
-                row += [_fmt(value / args.R), _fmt(result.value / (MU0 * args.R))]
+            if normalized:
+                row += [_fmt(value / R), _fmt(result.value / mu0_R)]
             row += [_fmt(result.value), _fmt(legacy), _fmt(rel),
                     str(result.exists).lower()]
             rows.append(row)

@@ -52,7 +52,6 @@ from .core import (
     classify_branch,
     finite_positive,
     finite_real,
-    validate,
 )
 from .permeance import LegacyCylinderSpec, _shape, legacy_half_hollow_cylinder
 
@@ -169,12 +168,22 @@ class ActuatorSweepSpec:
         return _geometry_at(self.mode, self.R, getattr(self, _MOTION[self.mode][0]), value)
 
 
-def _geometry_at(mode: DriveMode, R: float, fixed: float, value: float) -> TorusGeometry:
-    """Geometry at ``value`` of the gap or stroke; ``fixed`` is the r_o, t or r_i ``mode`` holds."""
+def _path(mode: DriveMode, fixed: float) -> tuple[float, float, float, float]:
+    """(a_i, b_i, a_o, b_o): r_i = a_i v + b_i and r_o = a_o v + b_o along ``mode``'s path.
+
+    ``fixed`` is the r_o, t or r_i the mode holds.  The radius it does not
+    offset gets b = -0.0, the exact additive identity, so it is a v bit for bit.
+    """
     held, a_i, a_o = _MOTION[mode]
     if held == "r_i":
-        return TorusGeometry(R, a_i * value + fixed, a_o * value)
-    return TorusGeometry(R, a_i * value, a_o * value + fixed)
+        return a_i, fixed, a_o, -0.0
+    return a_i, -0.0, a_o, fixed
+
+
+def _geometry_at(mode: DriveMode, R: float, fixed: float, value: float) -> TorusGeometry:
+    """Geometry at ``value`` of the gap or stroke; ``fixed`` is the r_o, t or r_i ``mode`` holds."""
+    a_i, b_i, a_o, b_o = _path(mode, fixed)
+    return TorusGeometry(R, a_i * value + b_i, a_o * value + b_o)
 
 
 @dataclass(frozen=True, slots=True)
@@ -195,12 +204,13 @@ class ForceSweepRow:
     exists: bool
 
 
-def _closed_forms(kind: FluxTubeKind, mode: DriveMode, R: float, r_i: float,
-                  r_o: float) -> tuple[float, float]:
+def _closed_forms(kind: FluxTubeKind, mode: DriveMode, R: float, r_i: float, r_o: float,
+                  scale: float, a_i: float, a_o: float) -> tuple[float, float]:
     """(G_m, dG_m/dv) of an existing tube from its radii and one (f, f') lookup.
 
     The chain rule of the module docstring, factored as
-    (G_m0/t) [dt/dv f + f' t deta/dv]; a gap-driven quarter doubles it once more.
+    (G_m0/t) [dt/dv f + f' t deta/dv] and multiplied by ``scale`` = q/p: a
+    gap-driven quarter doubles it once more.  (a_i, a_o) are the mode's rates.
     """
     t = r_o - r_i
     eta = _eta(R, r_i, t)
@@ -208,8 +218,6 @@ def _closed_forms(kind: FluxTubeKind, mode: DriveMode, R: float, r_i: float,
     f, fp = _shape(kind, eta, branch)
     gm0 = math.pi * MU0 * t
     gm = gm0 * f
-    p, q = _quarter_factors(kind, mode)
-    scale = q / p  # (f, f') already carry p
     if branch is BranchCase.UNIT and kind.is_outer:
         # The partials are taken at eta = 1, like (f, f').  The gap modes keep
         # the documented eta = 1 forms verbatim, which the chain rule
@@ -220,10 +228,28 @@ def _closed_forms(kind: FluxTubeKind, mode: DriveMode, R: float, r_i: float,
         if mode is DriveMode.CONST_THICKNESS:
             return gm, scale * f * (-(gm0 * R) / (3.0 * r_i * r_o))
     # t deta/dv keeps the a_i term apart: R (a_o/r_o - a_i/r_i) cancels on thin tubes.
-    _, a_i, a_o = _MOTION[mode]
     dt = a_o - a_i
     t_deta = dt * (R / r_o - eta) - a_i * t * R / (r_i * r_o)
     return gm, scale * (gm0 / t) * (dt * f + fp * t_deta)
+
+
+def _guarded(kind: FluxTubeKind, mode: DriveMode, R: float, r_i: float, r_o: float,
+             scale: float, a_i: float, a_o: float) -> tuple[float, float, bool]:
+    """(G_m, dG_m/dv, exists) under the rules of :func:`force`, from the three radii.
+
+    ``scale`` = q/p and the rates (a_i, a_o) belong to (kind, mode); a sweep
+    reads them once.  A vanished tube gives (GM_FLOOR, 0, False); an inner
+    quarter driven past s = R gives the floored permeance of r_o = R and zero
+    gradient.
+    """
+    inner = kind.is_inner
+    frozen = inner and r_o > R and mode is DriveMode.CONST_INNER_RADIUS
+    if frozen:
+        r_o = R
+    if r_o <= r_i or (inner and r_o > R):
+        return GM_FLOOR, 0.0, False
+    gm, dgm = _closed_forms(kind, mode, R, r_i, r_o, scale, a_i, a_o)
+    return max(gm, GM_FLOOR), 0.0 if frozen else dgm, True
 
 
 def permeance_gradient(kind: FluxTubeKind, mode: DriveMode, geom: TorusGeometry) -> float:
@@ -249,34 +275,19 @@ def force(vm: float, kind: FluxTubeKind, mode: DriveMode, geom: TorusGeometry) -
     _check_mode(kind, mode)
     if not math.isfinite(vm):
         raise DomainError(f"magnetic tension must be finite, got {vm!r}")
-    R, r_i, r_o = geom.R, geom.r_i, geom.r_o
-    frozen = mode is DriveMode.CONST_INNER_RADIUS and r_o > R and kind.is_inner
-    if frozen:
-        geom = TorusGeometry(R, r_i, R)
-        r_o = R
-    if not validate(kind, geom).exists:
-        return ForceResult(F=0.0, dGm=0.0, Gm=GM_FLOOR, exists=False)
-    gm, dgm = _closed_forms(kind, mode, R, r_i, r_o)
-    if frozen:
-        return ForceResult(F=0.0, dGm=0.0, Gm=max(gm, GM_FLOOR), exists=True)
-    return ForceResult(F=0.5 * vm * vm * dgm, dGm=dgm, Gm=max(gm, GM_FLOOR), exists=True)
-
-
-def _legacy_cylinder(kind: FluxTubeKind, mode: DriveMode, R: float, w: float | None,
-                     r_i: float, r_o: float, t: float, scale: float = 1.0) -> tuple[float, float]:
-    """(G_L, scale dG_L/dv) of the depth-w cylinder on the tube's path (module docstring).
-
-    w defaults to 2 pi R, the only use of R; (0, 0) once t <= 0.  t comes with
-    the radii, so that a caller holding it exactly keeps it exact.  scale (1/2
-    theta^2 for a force) goes in first, keeping F_L's rounding order.
-    """
-    if t <= 0.0:
-        return 0.0, 0.0
-    w = w if w is not None else 2.0 * math.pi * R
-    _, a_i, a_o = _MOTION[mode]
     p, q = _quarter_factors(kind, mode)
-    gl = legacy_half_hollow_cylinder(LegacyCylinderSpec(w, t, r_i)).value
-    return p * gl, scale * q * MU0 * w / math.pi * ((a_o - a_i) / r_o - a_i * t / (r_i * r_o))
+    _, a_i, a_o = _MOTION[mode]
+    gm, dgm, exists = _guarded(kind, mode, geom.R, geom.r_i, geom.r_o, q / p, a_i, a_o)
+    return ForceResult(F=0.5 * vm * vm * dgm, dGm=dgm, Gm=gm, exists=exists)
+
+
+def _legacy_slope(c: float, a_i: float, a_o: float, r_i: float, r_o: float, t: float) -> float:
+    """c [(a_o - a_i)/r_o - a_i t/(r_i r_o)]: dG_L/dv of the legacy cylinder when c = mu0 w/pi.
+
+    A sweep folds 1/2 theta^2 and the quarter factor q into c, ahead of
+    mu0 w/pi, so F_L keeps its rounding order (module docstring).
+    """
+    return c * ((a_o - a_i) / r_o - a_i * t / (r_i * r_o))
 
 
 def legacy_gradient(w: float, t: float, g: float) -> float:
@@ -288,8 +299,9 @@ def legacy_gradient(w: float, t: float, g: float) -> float:
     widening with the gap.
     """
     w, t, g = finite_positive("w", w), finite_positive("t", t), finite_positive("g", g)
-    return _legacy_cylinder(FluxTubeKind.OUTER_HALF, DriveMode.CONST_THICKNESS, math.nan, w,
-                            0.5 * g, 0.5 * g + t, t)[1]
+    r_i = finite_positive("r_i", 0.5 * g)  # the cylinder's inner radius; g/2 may underflow
+    _, a_i, a_o = _MOTION[DriveMode.CONST_THICKNESS]
+    return _legacy_slope(MU0 * w / math.pi, a_i, a_o, r_i, r_i + t, t)
 
 
 def sweep_force(spec: ActuatorSweepSpec) -> list[ForceSweepRow]:
@@ -303,19 +315,35 @@ def sweep_force(spec: ActuatorSweepSpec) -> list[ForceSweepRow]:
     undefined (None) when the exact force is zero or in the stroke mode, for
     which there is no legacy force model.
     """
-    step = (spec.stop - spec.start) / (spec.samples - 1)
+    kind, mode, R, last = spec.kind, spec.mode, spec.R, spec.samples - 1
+    a_i, b_i, a_o, b_o = _path(mode, getattr(spec, _MOTION[mode][0]))
+    p, q = _quarter_factors(kind, mode)
+    scale = q / p
+    half_theta2 = 0.5 * spec.theta * spec.theta
+    w = spec.legacy_width if spec.legacy_width is not None else 2.0 * math.pi * R
+    c_legacy = half_theta2 * q * MU0 * w / math.pi
+    gap = mode in _GAP_MODES
+    start, stop = spec.start, spec.stop
+    step = (stop - start) / last
     rows: list[ForceSweepRow] = []
     for i in range(spec.samples):
-        v = spec.stop if i == spec.samples - 1 else spec.start + i * step
-        geom = spec.geometry_at(v)
-        res = force(spec.theta, spec.kind, spec.mode, geom)
-        gm_legacy, f_legacy = _legacy_cylinder(spec.kind, spec.mode, spec.R, spec.legacy_width,
-                                               geom.r_i, geom.r_o, geom.r_o - geom.r_i,
-                                               0.5 * spec.theta * spec.theta)
+        v = stop if i == last else start + i * step
+        r_i = a_i * v + b_i
+        r_o = a_o * v + b_o
+        if not (r_i > 0.0 and r_o < math.inf):
+            TorusGeometry(R, r_i, r_o)  # raises the DomainError of a radius out of range
+        gm, dgm, exists = _guarded(kind, mode, R, r_i, r_o, scale, a_i, a_o)
+        f = half_theta2 * dgm
+        t = r_o - r_i
+        gm_legacy = f_legacy = 0.0
+        if t > 0.0:
+            gm_legacy = p * legacy_half_hollow_cylinder(LegacyCylinderSpec(w, t, r_i)).value
+            if gap:
+                f_legacy = _legacy_slope(c_legacy, a_i, a_o, r_i, r_o, t)
         rel_dev = None
-        if spec.mode not in _GAP_MODES:
+        if not gap:
             f_legacy = None
-        elif res.F != 0.0:
-            rel_dev = 100.0 * abs(f_legacy - res.F) / abs(res.F)
-        rows.append(ForceSweepRow(v, res.Gm, res.F, gm_legacy, f_legacy, rel_dev, res.exists))
+        elif f != 0.0:
+            rel_dev = 100.0 * abs(f_legacy - f) / abs(f)
+        rows.append(ForceSweepRow(v, gm, f, gm_legacy, f_legacy, rel_dev, exists))
     return rows

@@ -65,6 +65,10 @@ class LegacyCylinderSpec:
     r_i: float
 
     def __post_init__(self) -> None:
+        w, t, r_i = self.w, self.t, self.r_i
+        if (type(w) is float and type(t) is float and type(r_i) is float
+                and 0.0 < w < math.inf and 0.0 <= t < math.inf and 0.0 < r_i < math.inf):
+            return
         for name, allow_zero in (("w", False), ("t", True), ("r_i", False)):
             value = finite_positive(name, getattr(self, name), allow_zero)
             object.__setattr__(self, name, value)

@@ -125,6 +125,21 @@ def test_sweep_permeance_fixed_thickness_two_samples(tmp_path):
     assert len(rows) == 2
 
 
+def test_sweep_permeance_tiny_radii_write_finite_values(tmp_path):
+    # r_i r_o underflows to zero below about 2e-162 m; a permeance sweep
+    # takes no legacy slope, so nothing divides by that product.
+    out = tmp_path / "tiny.csv"
+    rc = main([
+        "sweep-permeance", "--kind", "outer-half", "--R", "1e-170", "--t", "1e-170",
+        "--range", "lin:1e-171:1e-170:3", "--out", str(out),
+    ])
+    assert rc == 0
+    _, rows = read_csv(str(out))
+    assert len(rows) == 3
+    assert all(math.isfinite(float(x)) for row in rows for x in row[:4])
+    assert all(row[4] == "true" for row in rows)
+
+
 @pytest.mark.parametrize("kind, fixed, value, sweep, radii", [
     # r_i runs past r_o: the last rows are degenerate or vanished.
     ("outer-half", "--ro", 0.012, "lin:0.002:0.014:7", lambda v, c: (v, c)),

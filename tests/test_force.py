@@ -421,3 +421,68 @@ def test_legacy_force_is_the_path_derivative_of_the_legacy_permeance(kind, mode,
         assert row.force_legacy == pytest.approx(expected, rel=1e-9)
         checked += 1
     assert checked >= 20
+
+
+def _row_specs():
+    """Seeded sweeps of every allowed (kind, mode): each eta branch, vanished and frozen rows."""
+    import random
+
+    rng = random.Random(20261020)
+    held_of = {DriveMode.CONST_OUTER_RADIUS: "r_o", DriveMode.CONST_THICKNESS: "t",
+               DriveMode.CONST_INNER_RADIUS: "r_i"}
+    specs = []
+    for kind in FluxTubeKind:
+        for mode in sorted(allowed_modes(kind), key=lambda m: m.value):
+            for _ in range(6):
+                R = 10.0 ** rng.uniform(-3.0, 0.0)
+                fixed = R * 10.0 ** rng.uniform(-1.5, 0.5)
+                start = R * 10.0 ** rng.uniform(-3.0, -1.0)
+                stop = R * 10.0 ** rng.uniform(0.0, 1.0)
+                specs.append(ActuatorSweepSpec(kind=kind, mode=mode, R=R, start=start, stop=stop,
+                                               samples=41, theta=rng.uniform(0.1, 3.0),
+                                               **{held_of[mode]: fixed}))
+            if kind.is_outer:
+                # A sweep whose first row sits at eta = 1 (r_o bisected for it).
+                R, r_i = 0.01, 0.004
+                r_o = solve_ro_for_eta(R, r_i, 1.0)
+                fixed, v = {DriveMode.CONST_OUTER_RADIUS: (r_o, 2.0 * r_i),
+                            DriveMode.CONST_THICKNESS: (r_o - r_i, 2.0 * r_i),
+                            DriveMode.CONST_INNER_RADIUS: (r_i, r_o)}[mode]
+                specs.append(ActuatorSweepSpec(kind=kind, mode=mode, R=R, start=v, stop=4.0 * v,
+                                               samples=9, legacy_width=0.03,
+                                               **{held_of[mode]: fixed}))
+    return specs
+
+
+def test_sweep_rows_equal_force_and_legacy_permeance_field_by_field():
+    from toroflux import LegacyCylinderSpec, legacy_half_hollow_cylinder
+
+    seen = set()
+    for spec in _row_specs():
+        p = 2.0 if spec.kind.is_quarter else 1.0
+        w = 2.0 * math.pi * spec.R if spec.legacy_width is None else spec.legacy_width
+        gap = spec.mode in GAP_MODES
+        for row in sweep_force(spec):
+            geom = spec.geometry_at(row.g)
+            res = force(spec.theta, spec.kind, spec.mode, geom)
+            t = geom.r_o - geom.r_i
+            gm_legacy = (p * legacy_half_hollow_cylinder(LegacyCylinderSpec(w, t, geom.r_i)).value
+                         if t > 0.0 else 0.0)
+            assert (row.gm, row.force, row.exists) == (res.Gm, res.F, res.exists), (spec, row)
+            assert row.gm_legacy == gm_legacy, (spec, row)
+            if not gap:
+                assert row.force_legacy is None and row.rel_dev_percent is None
+            elif row.force == 0.0:
+                assert row.rel_dev_percent is None
+            else:
+                expected = 100.0 * abs(row.force_legacy - row.force) / abs(row.force)
+                assert row.rel_dev_percent == expected
+            frozen = (spec.mode is DriveMode.CONST_INNER_RADIUS and spec.kind.is_inner
+                      and geom.r_o > spec.R and row.exists)
+            if frozen:
+                seen.add("frozen")
+            elif not row.exists:
+                seen.add("vanished")
+            else:
+                seen.add(derive(geom).branch)
+    assert seen == {"frozen", "vanished", *BranchCase}
