@@ -233,23 +233,25 @@ def _closed_forms(kind: FluxTubeKind, mode: DriveMode, R: float, r_i: float, r_o
     return gm, scale * (gm0 / t) * (dt * f + fp * t_deta)
 
 
-def _guarded(kind: FluxTubeKind, mode: DriveMode, R: float, r_i: float, r_o: float,
-             scale: float, a_i: float, a_o: float) -> tuple[float, float, bool]:
-    """(G_m, dG_m/dv, exists) under the rules of :func:`force`, from the three radii.
+def _guarded(half_vm2: float, kind: FluxTubeKind, mode: DriveMode, R: float, r_i: float,
+             r_o: float, scale: float, a_i: float, a_o: float) -> tuple[float, float, float, bool]:
+    """(F, dG_m/dv, G_m, exists) under the rules of :func:`force`, from the three radii.
 
-    ``scale`` = q/p and the rates (a_i, a_o) belong to (kind, mode); a sweep
-    reads them once.  A vanished tube gives (GM_FLOOR, 0, False); an inner
-    quarter driven past s = R gives the floored permeance of r_o = R and zero
-    gradient.
+    ``half_vm2`` is 1/2 vm^2; ``scale`` = q/p and the rates (a_i, a_o) belong
+    to (kind, mode), so a sweep reads them once.  A vanished tube gives
+    (0, 0, GM_FLOOR, False); an inner quarter driven past s = R gives zero
+    force and gradient with the floored permeance of r_o = R.
     """
     inner = kind.is_inner
     frozen = inner and r_o > R and mode is DriveMode.CONST_INNER_RADIUS
     if frozen:
         r_o = R
     if r_o <= r_i or (inner and r_o > R):
-        return GM_FLOOR, 0.0, False
+        return 0.0, 0.0, GM_FLOOR, False
     gm, dgm = _closed_forms(kind, mode, R, r_i, r_o, scale, a_i, a_o)
-    return max(gm, GM_FLOOR), 0.0 if frozen else dgm, True
+    if frozen:
+        return 0.0, 0.0, max(gm, GM_FLOOR), True
+    return half_vm2 * dgm, dgm, max(gm, GM_FLOOR), True
 
 
 def permeance_gradient(kind: FluxTubeKind, mode: DriveMode, geom: TorusGeometry) -> float:
@@ -277,8 +279,8 @@ def force(vm: float, kind: FluxTubeKind, mode: DriveMode, geom: TorusGeometry) -
         raise DomainError(f"magnetic tension must be finite, got {vm!r}")
     p, q = _quarter_factors(kind, mode)
     _, a_i, a_o = _MOTION[mode]
-    gm, dgm, exists = _guarded(kind, mode, geom.R, geom.r_i, geom.r_o, q / p, a_i, a_o)
-    return ForceResult(F=0.5 * vm * vm * dgm, dGm=dgm, Gm=gm, exists=exists)
+    return ForceResult(*_guarded(0.5 * vm * vm, kind, mode, geom.R, geom.r_i, geom.r_o,
+                                 q / p, a_i, a_o))
 
 
 def _legacy_slope(c: float, a_i: float, a_o: float, r_i: float, r_o: float, t: float) -> float:
@@ -332,8 +334,7 @@ def sweep_force(spec: ActuatorSweepSpec) -> list[ForceSweepRow]:
         r_o = a_o * v + b_o
         if not (r_i > 0.0 and r_o < math.inf):
             TorusGeometry(R, r_i, r_o)  # raises the DomainError of a radius out of range
-        gm, dgm, exists = _guarded(kind, mode, R, r_i, r_o, scale, a_i, a_o)
-        f = half_theta2 * dgm
+        f, _, gm, exists = _guarded(half_theta2, kind, mode, R, r_i, r_o, scale, a_i, a_o)
         t = r_o - r_i
         gm_legacy = f_legacy = 0.0
         if t > 0.0:

@@ -126,6 +126,20 @@ def test_vanished_tube_force_is_floored():
     assert res.F == 0.0 and res.dGm == 0.0 and res.Gm == GM_FLOOR and not res.exists
 
 
+def test_no_force_rows_stay_zero_when_half_tension_squared_overflows():
+    # 1/2 vm^2 is inf at vm = 1e200, so a zero gradient must not be scaled into NaN.
+    iq, stroke = FluxTubeKind.INNER_QUARTER, DriveMode.CONST_INNER_RADIUS
+    vanished = force(1e200, FluxTubeKind.OUTER_HALF, DriveMode.CONST_THICKNESS,
+                     TorusGeometry(1.0, 0.5, 0.4))
+    frozen = force(1e200, iq, stroke, TorusGeometry(1.0, 0.2, 1.3))
+    assert (vanished.F, vanished.exists, frozen.F, frozen.exists) == (0.0, False, 0.0, True)
+    spec = ActuatorSweepSpec(kind=iq, mode=stroke, R=0.01, r_i=0.004, start=0.001, stop=0.02,
+                             samples=20, theta=1e200)
+    rows = sweep_force(spec)
+    assert all(r.force == 0.0 for r in rows if not r.exists or r.g > spec.R)
+    assert any(not r.exists for r in rows) and any(r.exists and r.g > spec.R for r in rows)
+
+
 def test_inner_quarter_freeze_past_pole_radius():
     geom = TorusGeometry(1.0, 0.2, 1.3)  # stroke s = r_o beyond R
     assert permeance_gradient(FluxTubeKind.INNER_QUARTER, DriveMode.CONST_INNER_RADIUS, geom) == 0.0
