@@ -204,35 +204,6 @@ class ForceSweepRow:
     exists: bool
 
 
-def _closed_forms(kind: FluxTubeKind, mode: DriveMode, R: float, r_i: float, r_o: float,
-                  scale: float, a_i: float, a_o: float) -> tuple[float, float]:
-    """(G_m, dG_m/dv) of an existing tube from its radii and one (f, f') lookup.
-
-    The chain rule of the module docstring, factored as
-    (G_m0/t) [dt/dv f + f' t deta/dv] and multiplied by ``scale`` = q/p: a
-    gap-driven quarter doubles it once more.  (a_i, a_o) are the mode's rates.
-    """
-    t = r_o - r_i
-    eta = _eta(R, r_i, t)
-    branch = classify_branch(eta)
-    f, fp = _shape(kind, eta, branch)
-    gm0 = math.pi * MU0 * t
-    gm = gm0 * f
-    if branch is BranchCase.UNIT and kind.is_outer:
-        # The partials are taken at eta = 1, like (f, f').  The gap modes keep
-        # the documented eta = 1 forms verbatim, which the chain rule
-        # reproduces only to rounding; f is 1 (half) or 2 (quarter).
-        eta = 1.0
-        if mode is DriveMode.CONST_OUTER_RADIUS:
-            return gm, scale * f * (-(gm0 / (2.0 * t)) * (1.0 + 2.0 * R / r_i) / 3.0)
-        if mode is DriveMode.CONST_THICKNESS:
-            return gm, scale * f * (-(gm0 * R) / (3.0 * r_i * r_o))
-    # t deta/dv keeps the a_i term apart: R (a_o/r_o - a_i/r_i) cancels on thin tubes.
-    dt = a_o - a_i
-    t_deta = dt * (R / r_o - eta) - a_i * t * R / (r_i * r_o)
-    return gm, scale * (gm0 / t) * (dt * f + fp * t_deta)
-
-
 def _guarded(half_vm2: float, kind: FluxTubeKind, mode: DriveMode, R: float, r_i: float,
              r_o: float, scale: float, a_i: float, a_o: float) -> tuple[float, float, float, bool]:
     """(F, dG_m/dv, G_m, exists) under the rules of :func:`force`, from the three radii.
@@ -240,7 +211,9 @@ def _guarded(half_vm2: float, kind: FluxTubeKind, mode: DriveMode, R: float, r_i
     ``half_vm2`` is 1/2 vm^2; ``scale`` = q/p and the rates (a_i, a_o) belong
     to (kind, mode), so a sweep reads them once.  A vanished tube gives
     (0, 0, GM_FLOOR, False); an inner quarter driven past s = R gives zero
-    force and gradient with the floored permeance of r_o = R.
+    force and gradient with the floored permeance of r_o = R.  Otherwise
+    dG_m/dv is the module docstring's chain rule (G_m0/t) [dt/dv f + f' t deta/dv]
+    times ``scale``: a gap-driven quarter doubles it once more.
     """
     inner = kind.is_inner
     frozen = inner and r_o > R and mode is DriveMode.CONST_INNER_RADIUS
@@ -248,10 +221,28 @@ def _guarded(half_vm2: float, kind: FluxTubeKind, mode: DriveMode, R: float, r_i
         r_o = R
     if r_o <= r_i or (inner and r_o > R):
         return 0.0, 0.0, GM_FLOOR, False
-    gm, dgm = _closed_forms(kind, mode, R, r_i, r_o, scale, a_i, a_o)
+    t = r_o - r_i
+    eta = _eta(R, r_i, t)
+    branch = classify_branch(eta)
+    f, fp = _shape(kind, eta, branch)
+    gm0 = math.pi * MU0 * t
+    gm = max(gm0 * f, GM_FLOOR)
     if frozen:
-        return 0.0, 0.0, max(gm, GM_FLOOR), True
-    return half_vm2 * dgm, dgm, max(gm, GM_FLOOR), True
+        return 0.0, 0.0, gm, True
+    unit = branch is BranchCase.UNIT and kind.is_outer
+    if unit and mode is DriveMode.CONST_OUTER_RADIUS:
+        # The gap modes keep the documented eta = 1 forms verbatim, which the
+        # chain rule reproduces only to rounding; f is 1 (half) or 2 (quarter).
+        dgm = scale * f * (-(gm0 / (2.0 * t)) * (1.0 + 2.0 * R / r_i) / 3.0)
+    elif unit and mode is DriveMode.CONST_THICKNESS:
+        dgm = scale * f * (-(gm0 * R) / (3.0 * r_i * r_o))
+    else:
+        # t deta/dv keeps the a_i term apart: R (a_o/r_o - a_i/r_i) cancels on thin tubes.
+        # In the unit window the partials are taken at eta = 1, like (f, f').
+        dt = a_o - a_i
+        t_deta = dt * (R / r_o - (1.0 if unit else eta)) - a_i * t * R / (r_i * r_o)
+        dgm = scale * (gm0 / t) * (dt * f + fp * t_deta)
+    return half_vm2 * dgm, dgm, gm, True
 
 
 def permeance_gradient(kind: FluxTubeKind, mode: DriveMode, geom: TorusGeometry) -> float:
