@@ -26,7 +26,7 @@ from .core import (
     finite_positive,
     validate,
 )
-from .force import (_GAP_MODES, _MOTION, ActuatorSweepSpec, DriveMode, _path,
+from .force import (_GAP_MODES, _MOTION, ActuatorSweepSpec, DriveMode, _legacy_width, _path,
                     _quarter_factors, allowed_modes, permeance_gradient, sweep_force)
 from .oracle import gradient_fd, permeance_quadrature
 from .permeance import LegacyCylinderSpec, legacy_half_hollow_cylinder
@@ -159,7 +159,7 @@ def cmd_sweep_permeance(args: argparse.Namespace) -> int:
     if args.family is not None:
         header = ["ro_over_R"] + header
     R, normalized = args.R, args.normalized
-    w = args.legacy_width if args.legacy_width is not None else 2.0 * math.pi * R
+    w = _legacy_width(R, args.legacy_width)
     mu0_R = MU0 * R
     rows: list[list[str]] = []
     for prefix, mode, fixed, swept in curves:

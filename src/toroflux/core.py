@@ -31,21 +31,32 @@ class UsageError(ValueError):
     """An operation was invoked with an unsupported combination of arguments."""
 
 
+def _real(name: str, value: object) -> float:
+    """``value`` as a float, an int beyond the float range as +-inf; :class:`DomainError` unless real."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, numbers.Real)):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def finite_real(name: str, value: object) -> float:
     """``value`` as a float, or :class:`DomainError` unless it is a finite real (not a bool)."""
     if type(value) is not float:
-        if isinstance(value, bool) or not isinstance(value, (int, float, numbers.Real)):
-            raise DomainError(f"{name} must be a real number, got {value!r}")
-        value = float(value)
+        value = _real(name, value)
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value!r}")
     return value
 
 
 def finite_positive(name: str, value: object, allow_zero: bool = False) -> float:
-    """:func:`finite_real`, and :class:`DomainError` unless > 0 (or 0 with ``allow_zero``)."""
+    """:func:`finite_real`, and :class:`DomainError` unless > 0 (or 0 with ``allow_zero``).
+
+    Each failure has one message whatever the type of ``value``.
+    """
     if type(value) is not float:
-        value = finite_real(name, value)
+        value = _real(name, value)
     if not (math.isfinite(value) and (value > 0.0 or (allow_zero and value == 0.0))):
         bound = "non-negative" if allow_zero else "positive"
         raise DomainError(f"{name} must be finite and {bound}, got {value!r}")

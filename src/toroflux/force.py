@@ -283,6 +283,14 @@ def _legacy_slope(c: float, a_i: float, a_o: float, r_i: float, r_o: float, t: f
     return c * ((a_o - a_i) / r_o - a_i * t / (r_i * r_o))
 
 
+def _legacy_width(R: float, width: float | None) -> float:
+    """``width``, else the wrapped-cylinder default 2 pi R; :class:`DomainError` if that overflows."""
+    w = 2.0 * math.pi * R if width is None else width
+    if w == math.inf:  # a given width is already checked finite
+        raise DomainError(f"the default legacy width 2*pi*R overflows at R={R!r}; give a legacy width")
+    return w
+
+
 def legacy_gradient(w: float, t: float, g: float) -> float:
     """d/dg of the wrapped-cylinder permeance with the width held constant (const-t).
 
@@ -313,7 +321,7 @@ def sweep_force(spec: ActuatorSweepSpec) -> list[ForceSweepRow]:
     p, q = _quarter_factors(kind, mode)
     scale = q / p
     half_theta2 = 0.5 * spec.theta * spec.theta
-    w = spec.legacy_width if spec.legacy_width is not None else 2.0 * math.pi * R
+    w = _legacy_width(R, spec.legacy_width)
     c_legacy = half_theta2 * q * MU0 * w / math.pi
     gap = mode in _GAP_MODES
     start, stop = spec.start, spec.stop

@@ -398,3 +398,48 @@ def test_module_entry_prints_like_main(capsys):
     proc = run_python("-m", "toroflux.cli", *argv)
     assert proc.returncode == 0 and proc.stderr == ""
     assert proc.stdout == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, message", [
+    # the last sample drives r_o = t + g/2 past the largest float
+    (["sweep-force", "--R", "1", "--t", "1e308", "--range", "lin:1e308:1.7e308:3"],
+     "error: r_o must be finite and positive, got inf\n"),
+    # g/2 underflows to a zero inner radius
+    (["sweep-force", "--mode", "const-ro", "--R", "1e-300", "--ro", "1e-300",
+      "--range", "lin:5e-324:1e-323:2"], "error: r_i must be finite and positive, got 0.0\n"),
+    # 2*pi*R overflows and no legacy width was given
+    (["sweep-force", "--R", "3e307", "--t", "1", "--range", "lin:1:3:3"],
+     "error: the default legacy width 2*pi*R overflows at R=3e+307; give a legacy width\n"),
+    (["sweep-permeance", "--kind", "outer-half", "--R", "1e308", "--ri", "1",
+      "--range", "lin:1:3:3"],
+     "error: the default legacy width 2*pi*R overflows at R=1e+308; give a legacy width\n"),
+], ids=["r_o-overflows", "r_i-underflows", "force-default-width", "permeance-default-width"])
+def test_sweep_domain_failures_exit_one(argv, message, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", message)
+
+
+def test_overflowing_default_legacy_width_is_not_needed_with_a_given_width(capsys):
+    argv = ["sweep-permeance", "--kind", "outer-half", "--R", "1e308", "--ri", "1",
+            "--range", "lin:1:3:3", "--legacy-width", "1"]
+    assert main(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep-permeance", "--kind", "outer-half", "--R", "1", "--ro", "0.02", "--family", "1,2",
+     "--range", "lin:0.1:0.5:3"],
+    ["sweep-force", "--range", "log:0.002:0.022:5"],
+], ids=["family-with-ro", "log-force-range"])
+def test_sweep_usage_failures_exit_two(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_run_check_rejects_an_unknown_preset():
+    from toroflux import UsageError
+
+    with pytest.raises(UsageError, match="preset must be one of"):
+        run_check("bogus")

@@ -202,3 +202,33 @@ def test_enum_members_hash_by_identity_and_round_trip():
         assert type(member)(member.value) is member
         assert pickle.loads(pickle.dumps(member)) is member
     assert {FluxTubeKind.OUTER_HALF: 1}[FluxTubeKind("outer-half")] == 1
+
+
+
+@pytest.mark.parametrize("value, other, shown", [
+    (math.inf, 10**400, "inf"), (-math.inf, -(10**400), "-inf"), (math.nan, None, "nan"),
+    (-1.0, -1, "-1.0"), (0.0, 0, "0.0"),
+], ids=["inf", "-inf", "nan", "negative", "zero"])
+def test_invalid_numbers_have_one_message_whatever_their_type(value, other, shown):
+    import numpy as np
+
+    from toroflux import UsageError, legacy_gradient
+    from toroflux.core import finite_real
+
+    # The float, numpy float64/float32 and int (a huge int for +-inf) forms of one value.
+    forms = [value, np.float64(value), np.float32(value)] + ([other] if other is not None else [])
+    for form in forms:
+        with pytest.raises(DomainError) as exc:
+            TorusGeometry(1.0, form, 2.0)
+        assert str(exc.value) == f"r_i must be finite and positive, got {shown}", form
+        with pytest.raises(DomainError) as exc:
+            legacy_gradient(form, 1.0, 1.0)
+        assert str(exc.value) == f"w must be finite and positive, got {shown}", form
+        with pytest.raises(UsageError) as exc:
+            ActuatorSweepSpec(FluxTubeKind.OUTER_HALF, DriveMode.CONST_THICKNESS, R=form,
+                              start=0.001, stop=0.002, t=0.01)
+        assert str(exc.value) == f"R must be finite and positive, got {shown}", form
+        if not math.isfinite(value):
+            with pytest.raises(DomainError) as exc:
+                finite_real("theta", form)
+            assert str(exc.value) == f"theta must be finite, got {shown}", form

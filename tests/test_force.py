@@ -500,3 +500,56 @@ def test_sweep_rows_equal_force_and_legacy_permeance_field_by_field():
             else:
                 seen.add(derive(geom).branch)
     assert seen == {"frozen", "vanished", *BranchCase}
+
+
+@pytest.mark.parametrize("vm", [math.inf, -math.inf, math.nan])
+def test_force_rejects_non_finite_tension(vm):
+    with pytest.raises(DomainError, match="magnetic tension must be finite"):
+        force(vm, FluxTubeKind.OUTER_HALF, DriveMode.CONST_THICKNESS, TorusGeometry(1.0, 0.5, 1.0))
+
+
+def test_frozen_quarter_at_tiny_radii_skips_the_gradient():
+    # r_i r_o underflows to 0 here; a frozen row reports zero force without forming it.
+    from toroflux import ForceResult
+
+    res = force(1.0, FluxTubeKind.INNER_QUARTER, DriveMode.CONST_INNER_RADIUS,
+                TorusGeometry(1e-170, 1e-171, 2e-170))
+    assert res == ForceResult(0.0, 0.0, GM_FLOOR, True)
+
+
+def test_unit_gap_forms_agree_with_the_chain_rule_at_eta_one():
+    # The verbatim eta = 1 gap forms are the chain rule at (f, f') = (1, 2/3) (twice that
+    # for a quarter, whose gap gradient is doubled once more) up to rounding only.
+    import random
+
+    from toroflux import MU0
+
+    rng = random.Random(25)
+    rates = {DriveMode.CONST_OUTER_RADIUS: (0.5, 0.0), DriveMode.CONST_THICKNESS: (0.5, 0.5)}
+    checked = 0
+    while checked < 500:
+        r_i = 10.0 ** rng.uniform(-4.0, 1.0)
+        t = r_i * 10.0 ** rng.uniform(-6.0, 1.0)
+        geom = TorusGeometry(t / math.log1p(t / r_i) * (1.0 + rng.uniform(-1e-6, 1e-6)), r_i, r_i + t)
+        if derive(geom).branch is not BranchCase.UNIT:
+            continue
+        checked += 1
+        R, r_i, r_o = geom.R, geom.r_i, geom.r_o
+        t = r_o - r_i
+        gm0 = math.pi * MU0 * t
+        for kind, p in ((FluxTubeKind.OUTER_HALF, 1.0), (FluxTubeKind.OUTER_QUARTER, 2.0)):
+            for mode, (a_i, a_o) in rates.items():
+                dt = a_o - a_i
+                t_deta = dt * (R / r_o - 1.0) - a_i * t * R / (r_i * r_o)
+                chain = p * (gm0 / t) * (dt * p + (2.0 * p / 3.0) * t_deta)
+                assert permeance_gradient(kind, mode, geom) == pytest.approx(chain, rel=1e-15, abs=0.0)
+
+
+def test_sweep_force_refuses_an_overflowing_default_legacy_width():
+    spec = ActuatorSweepSpec(kind=FluxTubeKind.OUTER_HALF, mode=DriveMode.CONST_THICKNESS,
+                             R=3e307, t=1.0, start=1.0, stop=3.0, samples=3)
+    with pytest.raises(DomainError, match=r"2\*pi\*R overflows at R=3e\+307; give a legacy width"):
+        sweep_force(spec)
+    given = ActuatorSweepSpec(kind=FluxTubeKind.OUTER_HALF, mode=DriveMode.CONST_THICKNESS,
+                              R=3e307, t=1.0, start=1.0, stop=3.0, samples=3, legacy_width=1.0)
+    assert all(math.isfinite(row.gm_legacy) for row in sweep_force(given))
