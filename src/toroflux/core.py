@@ -32,7 +32,7 @@ class UsageError(ValueError):
 
 
 def _real(name: str, value: object) -> float:
-    """``value`` as a float, an int beyond the float range as +-inf; :class:`DomainError` unless real."""
+    """``value`` as a float, an int too large for one as +-inf; :class:`DomainError` unless real."""
     if isinstance(value, bool) or not isinstance(value, (int, float, numbers.Real)):
         raise DomainError(f"{name} must be a real number, got {value!r}")
     try:

@@ -287,7 +287,8 @@ def _legacy_width(R: float, width: float | None) -> float:
     """``width``, else the wrapped-cylinder default 2 pi R; :class:`DomainError` if that overflows."""
     w = 2.0 * math.pi * R if width is None else width
     if w == math.inf:  # a given width is already checked finite
-        raise DomainError(f"the default legacy width 2*pi*R overflows at R={R!r}; give a legacy width")
+        raise DomainError(f"the default legacy width 2*pi*R overflows at R={R!r}; "
+                          "give a legacy width")
     return w
 
 
@@ -314,7 +315,8 @@ def sweep_force(spec: ActuatorSweepSpec) -> list[ForceSweepRow]:
     follows the mode's path and takes the tube's quarter factors (module
     docstring).  The relative deviation is 100 |F_legacy - F| / |F|, left
     undefined (None) when the exact force is zero or in the stroke mode, for
-    which there is no legacy force model.
+    which there is no legacy force model.  Without a legacy width, an R whose
+    2 pi R overflows raises :class:`DomainError` before the first row.
     """
     kind, mode, R, last = spec.kind, spec.mode, spec.R, spec.samples - 1
     a_i, b_i, a_o, b_o = _path(mode, getattr(spec, _MOTION[mode][0]))
