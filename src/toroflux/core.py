@@ -81,18 +81,12 @@ class FluxTubeKind(Enum):
     # serves every dict and set lookup; Enum's own __hash__ runs in Python.
     __hash__ = object.__hash__
 
-    @property
-    def is_inner(self) -> bool:
-        """True for tubes on the axis side of the pole (these require r_o <= R)."""
-        return self in (FluxTubeKind.INNER_HALF, FluxTubeKind.INNER_QUARTER)
-
-    @property
-    def is_outer(self) -> bool:
-        return self in (FluxTubeKind.OUTER_HALF, FluxTubeKind.OUTER_QUARTER)
-
-    @property
-    def is_quarter(self) -> bool:
-        return self in (FluxTubeKind.INNER_QUARTER, FluxTubeKind.OUTER_QUARTER)
+    def __init__(self, value: str) -> None:
+        # Plain attributes, read on every kernel call: a property costs a Python call.
+        # Inner tubes lie on the axis side of the pole and require r_o <= R.
+        self.is_inner = value.startswith("inner")
+        self.is_outer = value.startswith("outer")
+        self.is_quarter = value.endswith("quarter")
 
 
 class BranchCase(IntEnum):
@@ -104,6 +98,10 @@ class BranchCase(IntEnum):
     SUB = 0
     UNIT = 1
     SUPER = 2
+
+
+# The kernel compares against module globals: an ``Enum.X`` lookup runs in Python.
+_SUB, _UNIT, _SUPER = BranchCase
 
 
 @dataclass(frozen=True, slots=True)
@@ -175,15 +173,16 @@ def classify_branch(eta: float) -> BranchCase:
     The window is reserved for the solution strictly correct at eta = 1;
     all formulas dispatch through this single classification.
     """
-    if not (isinstance(eta, (int, float)) and math.isfinite(eta)):
-        raise DomainError(f"eta must be finite, got {eta!r}")
-    if eta <= 0.0:
-        raise DomainError(f"eta must be positive, got {eta!r}")
+    if type(eta) is not float:
+        eta = _real("eta", eta)
+    if not 0.0 < eta < math.inf:
+        bound = "positive" if math.isfinite(eta) else "finite"
+        raise DomainError(f"eta must be {bound}, got {eta!r}")
     if eta > 1.0 + ETA_UNIT_WINDOW:
-        return BranchCase.SUPER
+        return _SUPER
     if eta < 1.0 - ETA_UNIT_WINDOW:
-        return BranchCase.SUB
-    return BranchCase.UNIT
+        return _SUB
+    return _UNIT
 
 
 def _eta(R: float, r_i: float, t: float) -> float:
@@ -213,13 +212,13 @@ def derive(geom: TorusGeometry) -> DerivedQuantities:
     gm0 = math.pi * MU0 * t
     branch = classify_branch(eta)
     alpha_plus = alpha_minus = lam = None
-    if branch is BranchCase.SUPER:
+    if branch is _SUPER:
         x = _x(eta)
         # arccot(x) = atan(1/x) = pi/2 - atan(x) for x > 0; the atan(x) forms
         # avoid cancellation in alpha_minus as x -> 0.
         alpha_minus = math.atan(x)
         alpha_plus = math.pi - math.atan(x)
-    elif branch is BranchCase.SUB:
+    elif branch is _SUB:
         lam = _lambda(eta)
     return DerivedQuantities(
         t=t,
@@ -236,7 +235,8 @@ def derive(geom: TorusGeometry) -> DerivedQuantities:
 
 def _x(eta: float) -> float:
     """x = sqrt(eta^2 - 1) for eta >= 1, clamped to 0 just below; eta itself above _ETA_HUGE."""
-    return eta if eta > _ETA_HUGE else math.sqrt(max(eta * eta - 1.0, 0.0))
+    v = eta * eta - 1.0  # 0.0 if v < 0.0 is max(v, 0.0) without the call, NaN kept
+    return eta if eta > _ETA_HUGE else (0.0 if v < 0.0 else math.sqrt(v))
 
 
 def _lambda(eta: float) -> float:

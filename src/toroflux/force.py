@@ -43,11 +43,11 @@ from enum import Enum
 
 from .core import (
     MU0,
-    BranchCase,
     DomainError,
     FluxTubeKind,
     TorusGeometry,
     UsageError,
+    _UNIT,
     _eta,
     classify_branch,
     finite_positive,
@@ -73,7 +73,8 @@ class DriveMode(Enum):
     __hash__ = object.__hash__  # as FluxTubeKind's: members are singletons
 
 
-_GAP_MODES = (DriveMode.CONST_OUTER_RADIUS, DriveMode.CONST_THICKNESS)
+_CONST_RO, _CONST_T, _CONST_RI = DriveMode  # module globals for the kernel, as core's _SUB etc.
+_GAP_MODES = (_CONST_RO, _CONST_T)
 
 _ALLOWED_MODES: dict[FluxTubeKind, frozenset[DriveMode]] = {
     FluxTubeKind.INNER_HALF: frozenset(_GAP_MODES),
@@ -84,9 +85,9 @@ _ALLOWED_MODES: dict[FluxTubeKind, frozenset[DriveMode]] = {
 }
 
 _MOTION: dict[DriveMode, tuple[str, float, float]] = {
-    DriveMode.CONST_OUTER_RADIUS: ("r_o", 0.5, 0.0),
-    DriveMode.CONST_THICKNESS: ("t", 0.5, 0.5),
-    DriveMode.CONST_INNER_RADIUS: ("r_i", 0.0, 1.0),
+    _CONST_RO: ("r_o", 0.5, 0.0),
+    _CONST_T: ("t", 0.5, 0.5),
+    _CONST_RI: ("r_i", 0.0, 1.0),
 }
 """Each mode's path: the ActuatorSweepSpec field it holds, and (a_i, a_o) = (dr_i/dv, dr_o/dv)."""
 
@@ -216,7 +217,7 @@ def _guarded(half_vm2: float, kind: FluxTubeKind, mode: DriveMode, R: float, r_i
     times ``scale``: a gap-driven quarter doubles it once more.
     """
     inner = kind.is_inner
-    frozen = inner and r_o > R and mode is DriveMode.CONST_INNER_RADIUS
+    frozen = inner and r_o > R and mode is _CONST_RI
     if frozen:
         r_o = R
     if r_o <= r_i or (inner and r_o > R):
@@ -226,15 +227,17 @@ def _guarded(half_vm2: float, kind: FluxTubeKind, mode: DriveMode, R: float, r_i
     branch = classify_branch(eta)
     f, fp = _shape(kind, eta, branch)
     gm0 = math.pi * MU0 * t
-    gm = max(gm0 * f, GM_FLOOR)
+    gm = gm0 * f
+    if gm < GM_FLOOR:  # max(gm, GM_FLOOR) without the call; NaN stays NaN
+        gm = GM_FLOOR
     if frozen:
         return 0.0, 0.0, gm, True
-    unit = branch is BranchCase.UNIT and kind.is_outer
-    if unit and mode is DriveMode.CONST_OUTER_RADIUS:
+    unit = branch is _UNIT and kind.is_outer
+    if unit and mode is _CONST_RO:
         # The gap modes keep the documented eta = 1 forms verbatim, which the
         # chain rule reproduces only to rounding; f is 1 (half) or 2 (quarter).
         dgm = scale * f * (-(gm0 / (2.0 * t)) * (1.0 + 2.0 * R / r_i) / 3.0)
-    elif unit and mode is DriveMode.CONST_THICKNESS:
+    elif unit and mode is _CONST_T:
         dgm = scale * f * (-(gm0 * R) / (3.0 * r_i * r_o))
     else:
         # t deta/dv keeps the a_i term apart: R (a_o/r_o - a_i/r_i) cancels on thin tubes.
@@ -302,7 +305,7 @@ def legacy_gradient(w: float, t: float, g: float) -> float:
     """
     w, t, g = finite_positive("w", w), finite_positive("t", t), finite_positive("g", g)
     r_i = finite_positive("r_i", 0.5 * g)  # the cylinder's inner radius; g/2 may underflow
-    _, a_i, a_o = _MOTION[DriveMode.CONST_THICKNESS]
+    _, a_i, a_o = _MOTION[_CONST_T]
     return _legacy_slope(MU0 * w / math.pi, a_i, a_o, r_i, r_i + t, t)
 
 

@@ -39,6 +39,9 @@ from .core import (
     DomainError,
     FluxTubeKind,
     TorusGeometry,
+    _SUB,
+    _SUPER,
+    _UNIT,
     _eta,
     _lambda,
     _x,
@@ -74,33 +77,25 @@ class LegacyCylinderSpec:
             object.__setattr__(self, name, value)
 
 
-_HALF_OF = {
-    FluxTubeKind.INNER_QUARTER: FluxTubeKind.INNER_HALF,
-    FluxTubeKind.OUTER_QUARTER: FluxTubeKind.OUTER_HALF,
-}
-
-
 def _shape(kind: FluxTubeKind, eta: float, branch: BranchCase) -> tuple[float, float]:
     """(f, f') of the tube at eta on its branch: G_m = G_m0 f(eta) and f' = df/deta.
 
-    A quarter has twice the (f, f') of its half.  An inner-side or lower-half
-    tube on the SUB branch raises :class:`DomainError`.
+    A quarter has twice the (f, f') of its half: both are multiplied by p = 2
+    (quarter) or 1 (half), exactly.  An inner-side or lower-half tube on the
+    SUB branch raises :class:`DomainError`.
     """
-    half = _HALF_OF.get(kind)
-    if half is not None:
-        f, fp = _shape(half, eta, branch)
-        return 2.0 * f, 2.0 * fp
-    if kind is FluxTubeKind.OUTER_HALF:
-        if branch is BranchCase.SUPER:
+    p = 2.0 if kind.is_quarter else 1.0
+    if kind.is_outer:
+        if branch is _SUPER:
             x = _x(eta)
             alpha_minus = math.atan(x)
-            return x / alpha_minus, (eta / x - 1.0 / (eta * alpha_minus)) / alpha_minus
-        if branch is BranchCase.UNIT:
-            return 1.0, 2.0 / 3.0
+            return p * (x / alpha_minus), p * ((eta / x - 1.0 / (eta * alpha_minus)) / alpha_minus)
+        if branch is _UNIT:
+            return p, p * (2.0 / 3.0)
         y = math.sqrt((1.0 - eta) * (1.0 + eta))
         lam = _lambda(eta)
-        return 2.0 * y / lam, (2.0 / lam) * (2.0 / (eta * lam) - eta / y)
-    if branch is BranchCase.SUB:
+        return p * (2.0 * y / lam), p * ((2.0 / lam) * (2.0 / (eta * lam) - eta / y))
+    if branch is _SUB:
         raise DomainError(
             f"{kind.value} tube requires eta > 1, got eta={eta!r} "
             "(the inner quarter constituent does not exist below eta = 1)"
@@ -111,10 +106,10 @@ def _shape(kind: FluxTubeKind, eta: float, branch: BranchCase) -> tuple[float, f
     if x == 0.0:
         # Thickness at rounding level: f' diverges like 1/x, but G_m0 f' -> 0.
         return 0.0, 0.0
-    if kind is FluxTubeKind.LOWER_HALF:
+    if not kind.is_inner:  # the lower half
         return x / (0.5 * math.pi), eta / x / (0.5 * math.pi)
     alpha_plus = math.pi - math.atan(x)
-    return x / alpha_plus, (eta / x + 1.0 / (eta * alpha_plus)) / alpha_plus
+    return p * (x / alpha_plus), p * ((eta / x + 1.0 / (eta * alpha_plus)) / alpha_plus)
 
 
 def permeance(kind: FluxTubeKind, geom: TorusGeometry) -> Permeance:

@@ -114,6 +114,39 @@ def test_classify_branch_domain(bad):
         classify_branch(bad)
 
 
+def test_classify_branch_takes_any_real_and_refuses_the_rest():
+    """Non-floats go through the radii's validator: one message per invalid number."""
+    np = pytest.importorskip("numpy")
+    assert classify_branch(np.float32(2.0)) is BranchCase.SUPER
+    assert classify_branch(np.int64(2)) is BranchCase.SUPER
+    assert classify_branch(np.float64(0.5)) is BranchCase.SUB
+    assert classify_branch(1) is BranchCase.UNIT
+    for bad in (True, False, "1.5", None, 1j):
+        with pytest.raises(DomainError, match=f"^eta must be a real number, got {bad!r}$"):
+            classify_branch(bad)
+    for huge, text in ((10**400, "inf"), (-(10**400), "-inf")):
+        with pytest.raises(DomainError, match=f"^eta must be finite, got {text}$"):
+            classify_branch(huge)
+    # The float messages are unchanged.
+    for bad, text in ((math.nan, "finite, got nan"), (math.inf, "finite, got inf"),
+                      (-math.inf, "finite, got -inf"), (0.0, "positive, got 0.0"),
+                      (-2.0, "positive, got -2.0")):
+        with pytest.raises(DomainError, match=f"^eta must be {text}$"):
+            classify_branch(bad)
+
+
+def test_kind_flags_are_a_plain_table():
+    flags = {k.value: (k.is_inner, k.is_outer, k.is_quarter) for k in FluxTubeKind}
+    assert flags == {
+        "inner-half": (True, False, False),
+        "lower-half": (False, False, False),
+        "outer-half": (False, True, False),
+        "inner-quarter": (True, False, True),
+        "outer-quarter": (False, True, True),
+    }
+    assert all(type(flag) is bool for row in flags.values() for flag in row)
+
+
 def test_validate_examples():
     assert not validate(FluxTubeKind.INNER_HALF, TorusGeometry(1.0, 0.2, 1.1)).exists
     assert not validate(FluxTubeKind.OUTER_HALF, TorusGeometry(1.0, 0.4, 0.3)).exists

@@ -108,6 +108,32 @@ def test_quadruple_rule_is_exact(half, mode):
         assert permeance_gradient(quarter, mode, geom) == 4.0 * permeance_gradient(half, mode, geom)
 
 
+def _assert_quarter_is_an_exact_multiple(half, geom):
+    quarter = QUARTER_OF[half]
+    assert permeance(quarter, geom).value == 2.0 * permeance(half, geom).value
+    for mode in GAP_MODES:
+        assert permeance_gradient(quarter, mode, geom) == 4.0 * permeance_gradient(half, mode, geom)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("half", HALF_KINDS)
+def test_quarter_is_bitwise_twice_its_half_and_gap_gradient_four_times(half, data):
+    _assert_quarter_is_an_exact_multiple(half, data.draw(geometry_strategy(half)))
+
+
+@pytest.mark.parametrize("delta", [-9e-7, -3e-7, 0.0, 2e-7, 9e-7])
+@pytest.mark.parametrize("R, r_i", [(0.02, 0.01), (1.0, 0.3), (3e-4, 1e-4)])
+def test_quarter_multiples_are_bitwise_in_the_unit_window(delta, R, r_i):
+    geom = TorusGeometry(R, r_i, solve_ro_for_eta(R, r_i, 1.0 + delta))
+    assert derive(geom).branch is BranchCase.UNIT
+    _assert_quarter_is_an_exact_multiple(FluxTubeKind.OUTER_HALF, geom)
+    # An inner tube reaches the window only as a thin shell just inside r_o = R.
+    inner = TorusGeometry(R, R * (1.0 - 1e-7 - abs(delta)), R)
+    assert derive(inner).branch is BranchCase.UNIT
+    _assert_quarter_is_an_exact_multiple(FluxTubeKind.INNER_HALF, inner)
+
+
 def test_vanished_tube_zero_gradient():
     vanished = TorusGeometry(1.0, 0.5, 0.4)
     degenerate = TorusGeometry(1.0, 0.5, 0.5)
