@@ -26,14 +26,13 @@ from .core import (
     finite_positive,
     validate,
 )
-from .force import (_GAP_MODES, _MOTION, ActuatorSweepSpec, DriveMode, _legacy_width, _path,
-                    _quarter_factors, allowed_modes, permeance_gradient, sweep_force)
+from .force import (_MOTION, ActuatorSweepSpec, DriveMode, _legacy_width, _permeance_rows, _ramp,
+                    allowed_modes, permeance_gradient, sweep_force)
 from .oracle import gradient_fd, permeance_quadrature
-from .permeance import LegacyCylinderSpec, legacy_half_hollow_cylinder
 from .permeance import permeance as _closed_permeance
 
-# numpy is imported only by the commands that compute with arrays (check,
-# sweep-permeance), so that permeance and sweep-force start without it.
+# numpy is imported only by check and by log-spaced ranges, so that permeance,
+# sweep-force and a lin: sweep-permeance start without it.
 if TYPE_CHECKING:
     import numpy as np
 
@@ -53,13 +52,13 @@ class SweepRange:
     stop: float
     samples: int
 
-    def values(self, stop: float | None = None) -> np.ndarray:
-        import numpy as np
-
+    def values(self, stop: float | None = None) -> list[float]:
         stop = self.stop if stop is None else stop
         if self.spacing == "log":
-            return np.geomspace(self.start, stop, self.samples)
-        return np.linspace(self.start, stop, self.samples)
+            import numpy as np
+
+            return np.geomspace(self.start, stop, self.samples).tolist()
+        return _ramp(self.start, stop, self.samples)
 
 
 def parse_range(text: str) -> SweepRange:
@@ -80,11 +79,6 @@ def parse_range(text: str) -> SweepRange:
     return SweepRange(parts[0], start, stop, samples)
 
 
-def _fmt(value: float | None) -> str:
-    # repr() is the shortest decimal that round-trips a double.
-    return "" if value is None else repr(float(value))
-
-
 def _check_row_count(rows: int) -> None:
     if rows > MAX_SWEEP_ROWS:
         raise UsageError(f"sweep of {rows} rows exceeds the limit of {MAX_SWEEP_ROWS} rows")
@@ -102,7 +96,8 @@ def _check_positive_flags(args: argparse.Namespace, *names: str) -> None:
                 raise UsageError(str(exc)) from None
 
 
-def _write_csv(path: str | None, header: list[str], rows: list[list[str]]) -> None:
+def _write_csv(path: str | None, header: list[str], rows: list[list]) -> None:
+    # csv writes a float as its repr(), which round-trips, and None as an empty field.
     target = contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", newline="")
     with target as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -114,14 +109,13 @@ def cmd_permeance(args: argparse.Namespace) -> int:
     _check_positive_flags(args, "R", "ri", "ro")
     geom = TorusGeometry(args.R, args.ri, args.ro)
     kind = _KINDS[args.kind]
-    result = _closed_permeance(kind, geom)
-    if not result.exists:
-        report = validate(kind, geom)
+    report = validate(kind, geom)
+    if not report.exists:
         print(f"warning: tube does not exist ({report.reason}); permeance is 0",
               file=sys.stderr)
         print("0")
         return 0
-    print(f"{result.value:.12g}")
+    print(f"{_closed_permeance(kind, geom).value:.12g}")
     return 0
 
 
@@ -143,14 +137,14 @@ def cmd_sweep_permeance(args: argparse.Namespace) -> int:
         _check_row_count(len(families) * rng.samples)
         # (prefix, mode, fixed, swept) per curve: r_i swept as a fraction of R
         # at fixed r_o, clamped so r_i <= r_o per family curve.
-        curves = [([_fmt(ratio)], DriveMode.CONST_OUTER_RADIUS, ratio * args.R,
-                   [f * args.R for f in rng.values(stop=min(rng.stop, ratio)).tolist()])
+        curves = [([ratio], DriveMode.CONST_OUTER_RADIUS, ratio * args.R,
+                   [f * args.R for f in rng.values(stop=min(rng.stop, ratio))])
                   for ratio in families if min(rng.stop, ratio) > rng.start]
     else:
         if len(modes) != 1:
             raise UsageError("give exactly one fixed parameter: --ro, --t, --ri or --family")
         _check_row_count(rng.samples)
-        curves = [([], modes[0], given[_MOTION[modes[0]][0]], rng.values().tolist())]
+        curves = [([], modes[0], given[_MOTION[modes[0]][0]], rng.values())]
 
     header = ["swept_m"]
     if args.normalized:
@@ -161,26 +155,16 @@ def cmd_sweep_permeance(args: argparse.Namespace) -> int:
     R, normalized = args.R, args.normalized
     w = _legacy_width(R, args.legacy_width)
     mu0_R = MU0 * R
-    rows: list[list[str]] = []
+    # Below R of about 1.8e-302 m, mu0 R is subnormal or 0: divide by mu0, then by R.
+    tiny = mu0_R < sys.float_info.min
+    rows: list[list] = []
     for prefix, mode, fixed, swept in curves:
-        a_i, b_i, a_o, b_o = _path(mode, fixed)
-        p = _quarter_factors(kind, mode)[0]
-        gap = mode in _GAP_MODES
-        # The swept radius is r_i at v = g = 2 r_i in the gap modes, r_o = v in the stroke mode.
-        for value in swept:
-            v = 2.0 * value if gap else value
-            r_i, r_o = a_i * v + b_i, a_o * v + b_o
-            result = _closed_permeance(kind, TorusGeometry(R, r_i, r_o))
-            t = r_o - r_i
-            legacy = (p * legacy_half_hollow_cylinder(LegacyCylinderSpec(w, t, r_i)).value
-                      if t > 0.0 else 0.0)
-            rel = (legacy - result.value) / result.value if result.value != 0.0 else None
-            row = prefix + [_fmt(value)]
+        for value, (gm, legacy, rel, exists) in zip(
+                swept, _permeance_rows(kind, mode, R, fixed, swept, w)):
+            row = prefix + [value]
             if normalized:
-                row += [_fmt(value / R), _fmt(result.value / mu0_R)]
-            row += [_fmt(result.value), _fmt(legacy), _fmt(rel),
-                    str(result.exists).lower()]
-            rows.append(row)
+                row += [value / R, gm / MU0 / R if tiny else gm / mu0_R]
+            rows.append(row + [gm, legacy, rel, "true" if exists else "false"])
     _write_csv(args.out, header, rows)
     return 0
 
@@ -204,8 +188,8 @@ def cmd_sweep_force(args: argparse.Namespace) -> int:
         legacy_width=args.legacy_width,
     )
     header = ["g_m", "Gm_new_H", "F_new_N", "Gm_legacy_H", "F_legacy_N", "rel_dev_percent"]
-    rows = [[_fmt(r.g), _fmt(r.gm), _fmt(r.force), _fmt(r.gm_legacy), _fmt(r.force_legacy),
-             _fmt(r.rel_dev_percent)] for r in sweep_force(spec)]
+    rows = [[r.g, r.gm, r.force, r.gm_legacy, r.force_legacy, r.rel_dev_percent]
+            for r in sweep_force(spec)]
     _write_csv(args.out, header, rows)
     return 0
 

@@ -38,6 +38,7 @@ forms -G_m0 (1 + 2R/r_i) / (6t) (const-ro) and -G_m0 R / (3 r_i r_o)
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -53,7 +54,7 @@ from .core import (
     finite_positive,
     finite_real,
 )
-from .permeance import LegacyCylinderSpec, _shape, legacy_half_hollow_cylinder
+from .permeance import LegacyCylinderSpec, _shape, legacy_half_hollow_cylinder, permeance
 
 GM_FLOOR = 1.0e-15
 """Permeance floor [H] reported for vanished tubes on the force pathway.
@@ -309,6 +310,16 @@ def legacy_gradient(w: float, t: float, g: float) -> float:
     return _legacy_slope(MU0 * w / math.pi, a_i, a_o, r_i, r_i + t, t)
 
 
+def _ramp(start: float, stop: float, samples: int) -> list[float]:
+    """``samples`` floats from ``start`` to ``stop``: numpy's evenly spaced values, bit for bit."""
+    n = samples - 1
+    delta = stop - start
+    step = delta / n
+    if step == 0.0:  # underflowed: numpy then scales i/n instead
+        return [(i / n) * delta + start for i in range(n)] + [stop]
+    return [i * step + start for i in range(n)] + [stop]
+
+
 def sweep_force(spec: ActuatorSweepSpec) -> list[ForceSweepRow]:
     """Evaluate exact and legacy force over the sweep, row per sample.
 
@@ -321,7 +332,7 @@ def sweep_force(spec: ActuatorSweepSpec) -> list[ForceSweepRow]:
     which there is no legacy force model.  Without a legacy width, an R whose
     2 pi R overflows raises :class:`DomainError` before the first row.
     """
-    kind, mode, R, last = spec.kind, spec.mode, spec.R, spec.samples - 1
+    kind, mode, R = spec.kind, spec.mode, spec.R
     a_i, b_i, a_o, b_o = _path(mode, getattr(spec, _MOTION[mode][0]))
     p, q = _quarter_factors(kind, mode)
     scale = q / p
@@ -329,11 +340,8 @@ def sweep_force(spec: ActuatorSweepSpec) -> list[ForceSweepRow]:
     w = _legacy_width(R, spec.legacy_width)
     c_legacy = half_theta2 * q * MU0 * w / math.pi
     gap = mode in _GAP_MODES
-    start, stop = spec.start, spec.stop
-    step = (stop - start) / last
     rows: list[ForceSweepRow] = []
-    for i in range(spec.samples):
-        v = stop if i == last else start + i * step
+    for v in _ramp(spec.start, spec.stop, spec.samples):
         r_i = a_i * v + b_i
         r_o = a_o * v + b_o
         if not (r_i > 0.0 and r_o < math.inf):
@@ -352,3 +360,23 @@ def sweep_force(spec: ActuatorSweepSpec) -> list[ForceSweepRow]:
             rel_dev = 100.0 * abs(f_legacy - f) / abs(f)
         rows.append(ForceSweepRow(v, gm, f, gm_legacy, f_legacy, rel_dev, exists))
     return rows
+
+
+def _permeance_rows(kind: FluxTubeKind, mode: DriveMode, R: float, fixed: float, swept: list[float],
+                    w: float) -> Iterator[tuple[float, float, float | None, bool]]:
+    """(G_m, G_L, rel_dev, exists) of ``sweep-permeance`` at each radius in ``swept``.
+
+    The swept radius is r_i, at v = g = 2 r_i, in the gap modes and r_o = v in
+    the stroke mode; G_L takes the depth ``w`` and the quarter factor p.
+    """
+    a_i, b_i, a_o, b_o = _path(mode, fixed)
+    p = _quarter_factors(kind, mode)[0]
+    gap = mode in _GAP_MODES
+    for value in swept:
+        v = 2.0 * value if gap else value
+        r_i, r_o = a_i * v + b_i, a_o * v + b_o
+        result = permeance(kind, TorusGeometry(R, r_i, r_o))
+        gm, t = result.value, r_o - r_i
+        legacy = (p * legacy_half_hollow_cylinder(LegacyCylinderSpec(w, t, r_i)).value
+                  if t > 0.0 else 0.0)
+        yield gm, legacy, (legacy - gm) / gm if gm != 0.0 else None, result.exists

@@ -143,4 +143,7 @@ def legacy_half_hollow_cylinder(spec: LegacyCylinderSpec) -> Permeance:
     wrapped-around-a-cylinder approximation of a half hollow torus, exact only
     in the limit (R/t) ln(r_o/r_i) -> infinity.
     """
-    return Permeance(MU0 * spec.w / math.pi * math.log1p(spec.t / spec.r_i))
+    u = spec.t / spec.r_i
+    # Once t/r_i overflows, r_o = r_i + t rounds to t, so ln(r_o/r_i) = ln t - ln r_i.
+    log_ratio = math.log1p(u) if u < math.inf else math.log(spec.t) - math.log(spec.r_i)
+    return Permeance(MU0 * spec.w / math.pi * log_ratio)

@@ -5,13 +5,19 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import toroflux.cli
 import toroflux.oracle
 from toroflux import (
+    MU0,
+    ActuatorSweepSpec,
+    DriveMode,
     FluxTubeKind,
     LegacyCylinderSpec,
     Permeance,
@@ -19,6 +25,7 @@ from toroflux import (
     derive,
     legacy_half_hollow_cylinder,
     permeance,
+    sweep_force,
 )
 from toroflux.cli import main, parse_range, run_check
 
@@ -72,6 +79,41 @@ def test_parse_range():
     for bad in ("lin:1:2", "geo:1:2:5", "lin:2:1:5", "lin:0:1:5", "lin:1:2:1", "lin:a:2:5"):
         with pytest.raises(UsageError):
             parse_range(bad)
+
+
+def _force_ramp(start, stop, n):
+    # Every row of this sweep vanishes (r_o = s <= stop < r_i), so its g column is the bare ramp.
+    spec = ActuatorSweepSpec(FluxTubeKind.INNER_QUARTER, DriveMode.CONST_INNER_RADIUS, R=1.0,
+                             start=start, stop=stop, samples=n, r_i=2.0 * stop)
+    return [row.g for row in sweep_force(spec)]
+
+
+@st.composite
+def _lin_ranges(draw):
+    if draw(st.booleans()):
+        start, stop = sorted(draw(st.lists(st.floats(5e-324, 1e300), min_size=2, max_size=2,
+                                           unique=True)))
+    else:  # a few subnormal units apart, where the step can underflow to 0
+        k = draw(st.integers(1, 10_000))
+        start, stop = k * 5e-324, (k + draw(st.integers(1, 20))) * 5e-324
+    return start, stop, draw(st.integers(2, 40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lin_ranges())
+def test_lin_samples_are_numpy_linspace_bit_for_bit(lin_range):
+    import numpy as np
+
+    start, stop, n = lin_range
+    expected = np.linspace(start, stop, n).tolist()
+    assert parse_range(f"lin:{start!r}:{stop!r}:{n}").values() == expected
+    assert _force_ramp(start, stop, n) == expected
+
+
+def test_lin_samples_at_an_underflowing_step():
+    expected = [1e-322, 1e-322, 1.04e-322, 1.04e-322, 1.1e-322, 1.1e-322]
+    assert parse_range("lin:1e-322:1.1e-322:6").values() == expected
+    assert _force_ramp(1e-322, 1.1e-322, 6) == expected
 
 
 def test_sweep_permeance_family_curves(tmp_path):
@@ -138,6 +180,21 @@ def test_sweep_permeance_tiny_radii_write_finite_values(tmp_path):
     assert len(rows) == 3
     assert all(math.isfinite(float(x)) for row in rows for x in row[:4])
     assert all(row[4] == "true" for row in rows)
+
+
+@pytest.mark.parametrize("R, flags", [
+    (1e-320, ["--ri", "1e-320", "--range", "lin:2e-320:4e-320:2"]),  # mu0 R is 0
+    (1e-310, ["--ri", "1e-3", "--range", "lin:2e-3:4e-3:2"]),  # mu0 R is subnormal, G_m normal
+], ids=["mu0R-zero", "mu0R-subnormal"])
+def test_sweep_permeance_normalized_at_tiny_R(tmp_path, R, flags):
+    out = tmp_path / "normalized.csv"
+    assert main(["sweep-permeance", "--kind", "outer-half", "--R", repr(R), *flags,
+                 "--normalized", "--out", str(out)]) == 0
+    header, rows = read_csv(str(out))
+    for row in rows:
+        gm = float(row[header.index("Gm_H")])
+        exact = float(Fraction(gm) / (Fraction(MU0) * Fraction(R)))
+        assert float(row[header.index("Gm_over_mu0R")]) == pytest.approx(exact, rel=5e-16, abs=0.0)
 
 
 @pytest.mark.parametrize("kind, fixed, value, sweep, radii", [
@@ -370,6 +427,21 @@ def test_scalar_commands_do_not_import_numpy(tmp_path):
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-2:] == ["numpy loaded: False", "numpy loaded: True"]
+
+
+def test_lin_permeance_sweep_runs_without_numpy(tmp_path, capsys):
+    argv = ["sweep-permeance", "--kind", "inner-quarter", "--R", "0.01", "--t", "0.002",
+            "--range", "lin:0.0001:0.02:40", "--normalized"]
+    code = "\n".join([
+        "import sys",
+        "sys.modules['numpy'] = None",
+        "from toroflux.cli import main",
+        f"sys.exit(main({argv + ['--out', str(tmp_path / 'perm.csv')]!r}))",
+    ])
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert main(argv) == 0
+    assert (tmp_path / "perm.csv").read_text() == capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv", [

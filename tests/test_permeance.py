@@ -147,6 +147,16 @@ def test_legacy_with_pole_circumference_equals_normalized_form(geom):
     assert legacy == pytest.approx(d.gm0 * d.eta / (math.pi / 2), rel=1e-13)
 
 
+@pytest.mark.parametrize("w, expected", [
+    # 1e-320 is 2024 * 2**-1074, so ln(1 + t/r_i) rounds to 1074 ln 2 - ln 2024.
+    (1.0, MU0 / math.pi * (1074.0 * math.log(2.0) - math.log(2024.0))),
+    (1e-320, 0.0),  # mu0 w/pi underflows to 0; was 0 * inf = nan
+], ids=["w-1", "w-1e-320"])
+def test_legacy_is_finite_where_t_over_r_i_overflows(w, expected):
+    value = legacy_half_hollow_cylinder(LegacyCylinderSpec(w, 1.0, 1e-320)).value
+    assert value == pytest.approx(expected, rel=4e-16, abs=0.0)
+
+
 def test_legacy_vanishing_thickness():
     assert legacy_half_hollow_cylinder(LegacyCylinderSpec(0.01, 0.0, 0.005)).value == 0.0
 
