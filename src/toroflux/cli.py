@@ -14,7 +14,6 @@ import csv
 import math
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .core import (
     MU0,
@@ -22,19 +21,15 @@ from .core import (
     FluxTubeKind,
     TorusGeometry,
     UsageError,
-    derive,
     finite_positive,
     validate,
 )
 from .force import (_MOTION, ActuatorSweepSpec, DriveMode, _legacy_width, _permeance_rows, _ramp,
-                    allowed_modes, permeance_gradient, sweep_force)
-from .oracle import gradient_fd, permeance_quadrature
+                    sweep_force)
+# _PRESETS and _sample_geometries are bound here only because tests read them, and the
+# benchmark traces run_check and _sample_geometries, by their toroflux.cli names.
+from .oracle import _PRESETS, _sample_geometries, run_check
 from .permeance import permeance as _closed_permeance
-
-# numpy is imported only by check and by log-spaced ranges, so that permeance,
-# sweep-force and a lin: sweep-permeance start without it.
-if TYPE_CHECKING:
-    import numpy as np
 
 _KINDS = {k.value: k for k in FluxTubeKind}
 _MODES = {m.value: m for m in DriveMode}
@@ -55,7 +50,7 @@ class SweepRange:
     def values(self, stop: float | None = None) -> list[float]:
         stop = self.stop if stop is None else stop
         if self.spacing == "log":
-            import numpy as np
+            import numpy as np  # lazy: permeance, sweep-force and lin: ranges start without it
 
             return np.geomspace(self.start, stop, self.samples).tolist()
         return _ramp(self.start, stop, self.samples)
@@ -192,98 +187,6 @@ def cmd_sweep_force(args: argparse.Namespace) -> int:
             for r in sweep_force(spec)]
     _write_csv(args.out, header, rows)
     return 0
-
-
-# ---------------------------------------------------------------------------
-# check: oracle sweep over deterministic grids
-# ---------------------------------------------------------------------------
-
-PERMEANCE_BOUND = 1.0e-9
-GRADIENT_BOUND = 1.0e-6
-
-_PRESETS = {
-    "quick": {"n_permeance": 20, "n_gradient": 10, "seed": 20240501},
-    "full": {"n_permeance": 200, "n_gradient": 50, "seed": 20240502},
-}
-
-
-@dataclass(frozen=True)
-class CheckEntry:
-    label: str
-    n: int
-    worst_rel_err: float
-    bound: float
-    worst_geom: TorusGeometry
-
-    @property
-    def passed(self) -> bool:
-        return self.worst_rel_err <= self.bound
-
-
-@dataclass(frozen=True)
-class CheckReport:
-    preset: str
-    entries: list[CheckEntry]
-
-    @property
-    def passed(self) -> bool:
-        return all(e.passed for e in self.entries)
-
-
-def _sample_geometries(kind: FluxTubeKind, n: int, rng: np.random.Generator) -> list[TorusGeometry]:
-    # Valid geometries spanning several decades, kept clear of the unit
-    # window (|eta - 1| >= 1e-3) and of existence boundaries (inner r_o <= 0.95 R).
-    # Each block draws three numbers for each sample still needed, so the
-    # stream is read exactly as far as drawing one candidate at a time would.
-    outer = kind.is_outer
-    lo, hi = (-1.3, 1.5) if outer else (0.05, 0.95)
-    out: list[TorusGeometry] = []
-    while len(out) < n:
-        block = rng.uniform((-4.0, lo, -2.7), (0.0, hi, math.log10(0.95)), size=(n - len(out), 3))
-        for e_R, v, e_i in block.tolist():
-            R = 10.0 ** e_R
-            r_o = R * (10.0 ** v if outer else v)
-            geom = TorusGeometry(R, r_o * 10.0 ** e_i, r_o)
-            if abs(derive(geom).eta - 1.0) < 1.0e-3:
-                continue
-            out.append(geom)
-    return out
-
-
-def run_check(preset: str) -> CheckReport:
-    """Compare every closed form against its oracle over a deterministic grid.
-
-    Permeance vs adaptive Simpson quadrature per kind, analytic gradient vs
-    Richardson central differences per allowed (kind, mode) pair.
-    """
-    if preset not in _PRESETS:
-        raise UsageError(f"preset must be one of {sorted(_PRESETS)}, got {preset!r}")
-    import numpy as np
-
-    cfg = _PRESETS[preset]
-    rng = np.random.default_rng(cfg["seed"])
-    # (label, kind, mode); mode None checks the permeance itself.
-    plan = [(f"permeance {kind.value}", kind, None) for kind in FluxTubeKind]
-    plan += [(f"gradient {kind.value} {mode.value}", kind, mode) for kind in FluxTubeKind
-             for mode in sorted(allowed_modes(kind), key=lambda m: m.value)]
-    entries: list[CheckEntry] = []
-    for label, kind, mode in plan:
-        worst, worst_geom = 0.0, None
-        geoms = _sample_geometries(kind, cfg["n_permeance" if mode is None else "n_gradient"], rng)
-        if mode is None:
-            errs = [r.rel_error if r.converged else math.inf
-                    for r in permeance_quadrature(kind, geoms)]
-        else:
-            errs = []
-            for geom in geoms:
-                fd = gradient_fd(kind, mode, geom)
-                errs.append(abs(permeance_gradient(kind, mode, geom) - fd) / abs(fd))
-        for geom, err in zip(geoms, errs):
-            if err >= worst:
-                worst, worst_geom = err, geom
-        bound = PERMEANCE_BOUND if mode is None else GRADIENT_BOUND
-        entries.append(CheckEntry(label, len(geoms), worst, bound, worst_geom))
-    return CheckReport(preset, entries)
 
 
 def cmd_check(args: argparse.Namespace) -> int:

@@ -167,7 +167,8 @@ class ActuatorSweepSpec:
 
     def geometry_at(self, value: float) -> TorusGeometry:
         """Geometry at one sample of the swept variable (gap or stroke)."""
-        return _geometry_at(self.mode, self.R, getattr(self, _MOTION[self.mode][0]), value)
+        a_i, b_i, a_o, b_o = _path(self.mode, getattr(self, _MOTION[self.mode][0]))
+        return TorusGeometry(self.R, a_i * value + b_i, a_o * value + b_o)
 
 
 def _path(mode: DriveMode, fixed: float) -> tuple[float, float, float, float]:
@@ -180,12 +181,6 @@ def _path(mode: DriveMode, fixed: float) -> tuple[float, float, float, float]:
     if held == "r_i":
         return a_i, fixed, a_o, -0.0
     return a_i, -0.0, a_o, fixed
-
-
-def _geometry_at(mode: DriveMode, R: float, fixed: float, value: float) -> TorusGeometry:
-    """Geometry at ``value`` of the gap or stroke; ``fixed`` is the r_o, t or r_i ``mode`` holds."""
-    a_i, b_i, a_o, b_o = _path(mode, fixed)
-    return TorusGeometry(R, a_i * value + b_i, a_o * value + b_o)
 
 
 @dataclass(frozen=True, slots=True)
@@ -270,8 +265,8 @@ def force(vm: float, kind: FluxTubeKind, mode: DriveMode, geom: TorusGeometry) -
     permeance of r_o = R with zero gradient.
     """
     _check_mode(kind, mode)
-    if not math.isfinite(vm):
-        raise DomainError(f"magnetic tension must be finite, got {vm!r}")
+    if type(vm) is not float or not math.isfinite(vm):
+        vm = finite_real("magnetic tension", vm)
     p, q = _quarter_factors(kind, mode)
     _, a_i, a_o = _MOTION[mode]
     return ForceResult(*_guarded(0.5 * vm * vm, kind, mode, geom.R, geom.r_i, geom.r_o,

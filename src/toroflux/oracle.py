@@ -7,6 +7,7 @@ range, and the lower half composes the two quarter reluctances in series.
 This module evaluates that integral by adaptive Simpson quadrature from the
 raw radii (sharing no derived quantities with the code under test) and
 provides Richardson-extrapolated central differences as the gradient oracle.
+:func:`run_check` compares every closed form with both oracles (``check``).
 """
 
 from __future__ import annotations
@@ -22,9 +23,11 @@ from .core import (
     FluxTubeKind,
     TorusGeometry,
     UsageError,
+    derive,
+    finite_positive,
     validate,
 )
-from .force import DriveMode, _check_mode, _geometry_at
+from .force import DriveMode, _check_mode, allowed_modes, permeance_gradient
 from .permeance import permeance as _closed_permeance
 
 # numpy is imported inside the functions that compute with arrays, so that
@@ -47,8 +50,11 @@ class QuadratureConfig:
     def __post_init__(self) -> None:
         if not (0.0 < self.rel_tol < 1.0e-3):
             raise UsageError(f"rel_tol must be in (0, 1e-3), got {self.rel_tol!r}")
-        if self.max_depth < 10:
-            raise UsageError(f"max_depth must be >= 10, got {self.max_depth!r}")
+        # An int or numpy integer, as ActuatorSweepSpec.samples: a float has no __index__.
+        depth = getattr(self.max_depth, "__index__", lambda: 0)()
+        if depth < 10:
+            raise UsageError(f"max_depth must be an integer >= 10, got {self.max_depth!r}")
+        object.__setattr__(self, "max_depth", depth)
 
 
 @dataclass(frozen=True)
@@ -112,6 +118,7 @@ def adaptive_simpson(
     """
     if not (a < b and math.isfinite(a) and math.isfinite(b)):
         raise UsageError(f"bad integration bounds [{a!r}, {b!r}]")
+    cfg = QuadratureConfig(rel_tol, max_depth)  # a bad tolerance would refine without end
     import numpy as np
 
     n0 = 16
@@ -122,11 +129,11 @@ def adaptive_simpson(
     fa, fm, fb = fx[0:-1:2], fx[1::2], fx[2::2]
     S = width / 6.0 * (fa + 4.0 * fm + fb)
     rough = S.sum(axis=0)
-    tol = rel_tol * np.maximum(np.abs(rough), np.finfo(float).tiny) / n0
+    tol = cfg.rel_tol * np.maximum(np.abs(rough), np.finfo(float).tiny) / n0
 
     total = 0.0
     converged = np.ones(fx.shape[1:], dtype=bool)
-    for depth in range(max_depth):
+    for depth in range(cfg.max_depth):
         half = 0.5 * width
         fml = f(left + 0.25 * width)
         fmr = f(left + 0.75 * width)
@@ -135,7 +142,7 @@ def adaptive_simpson(
         S2 = S_l + S_r
         err = (S2 - S) / 15.0
         met = np.abs(err) <= tol
-        if depth == max_depth - 1:
+        if depth == cfg.max_depth - 1:
             accept = np.ones(len(err), dtype=bool)
             converged = met.all(axis=0)
         else:
@@ -267,6 +274,14 @@ def _fixed_and_driving(mode: DriveMode, geom: TorusGeometry) -> tuple[float, flo
     return fixed, 2.0 * geom.r_i
 
 
+def _geometry_from(mode: DriveMode, R: float, fixed: float, v: float) -> TorusGeometry:
+    # The inverse of _fixed_and_driving: the geometry at gap or stroke v.
+    if mode is DriveMode.CONST_INNER_RADIUS:
+        return TorusGeometry(R, fixed, v)
+    r_o = 0.5 * v + fixed if mode is DriveMode.CONST_THICKNESS else fixed
+    return TorusGeometry(R, 0.5 * v, r_o)
+
+
 def central_difference(
     fn: Callable[[float], float], v: float, h: float
 ) -> float:
@@ -295,25 +310,28 @@ def gradient_fd(
     bookkeeping.  ``permeance_fn`` may replace the closed-form permeance,
     e.g. with the quadrature permeance for a double-oracle comparison.
 
-    Raises :class:`BoundaryError` when any stencil point would cross an
+    Raises :class:`UsageError` unless a given ``h`` is finite and positive,
+    and :class:`BoundaryError` when any stencil point would cross an
     existence boundary relative to the base geometry.
     """
     _check_mode(kind, mode)
     if permeance_fn is None:
         permeance_fn = lambda k, g: _closed_permeance(k, g).value
     fixed, v = _fixed_and_driving(mode, geom)
-    if h is None:
-        h = 1.0e-6 * v
+    try:
+        h = 1.0e-6 * v if h is None else finite_positive("h", h)
+    except DomainError as exc:
+        raise UsageError(str(exc)) from None
     base_exists = validate(kind, geom).exists
     for dv in (-h, -0.5 * h, 0.5 * h, h):
-        probe = _geometry_at(mode, geom.R, fixed, v + dv)
+        probe = _geometry_from(mode, geom.R, fixed, v + dv)
         if validate(kind, probe).exists != base_exists:
             raise BoundaryError(
                 f"stencil straddles an existence boundary at {mode.value} value {v + dv!r}"
             )
 
     def perm_at(value: float) -> float:
-        return permeance_fn(kind, _geometry_at(mode, geom.R, fixed, value))
+        return permeance_fn(kind, _geometry_from(mode, geom.R, fixed, value))
 
     d_h = central_difference(perm_at, v, h)
     d_h2 = central_difference(perm_at, v, 0.5 * h)
@@ -321,3 +339,95 @@ def gradient_fd(
     if kind.is_quarter and mode is not DriveMode.CONST_INNER_RADIUS:
         estimate *= 2.0
     return estimate
+
+
+# ---------------------------------------------------------------------------
+# check: oracle sweep over deterministic grids
+# ---------------------------------------------------------------------------
+
+PERMEANCE_BOUND = 1.0e-9
+GRADIENT_BOUND = 1.0e-6
+
+_PRESETS = {
+    "quick": {"n_permeance": 20, "n_gradient": 10, "seed": 20240501},
+    "full": {"n_permeance": 200, "n_gradient": 50, "seed": 20240502},
+}
+
+
+@dataclass(frozen=True)
+class CheckEntry:
+    label: str
+    n: int
+    worst_rel_err: float
+    bound: float
+    worst_geom: TorusGeometry
+
+    @property
+    def passed(self) -> bool:
+        return self.worst_rel_err <= self.bound
+
+
+@dataclass(frozen=True)
+class CheckReport:
+    preset: str
+    entries: list[CheckEntry]
+
+    @property
+    def passed(self) -> bool:
+        return all(e.passed for e in self.entries)
+
+
+def _sample_geometries(kind: FluxTubeKind, n: int, rng: np.random.Generator) -> list[TorusGeometry]:
+    # Valid geometries spanning several decades, kept clear of the unit
+    # window (|eta - 1| >= 1e-3) and of existence boundaries (inner r_o <= 0.95 R).
+    # Each block draws three numbers for each sample still needed, so the
+    # stream is read exactly as far as drawing one candidate at a time would.
+    outer = kind.is_outer
+    lo, hi = (-1.3, 1.5) if outer else (0.05, 0.95)
+    out: list[TorusGeometry] = []
+    while len(out) < n:
+        block = rng.uniform((-4.0, lo, -2.7), (0.0, hi, math.log10(0.95)), size=(n - len(out), 3))
+        for e_R, v, e_i in block.tolist():
+            R = 10.0 ** e_R
+            r_o = R * (10.0 ** v if outer else v)
+            geom = TorusGeometry(R, r_o * 10.0 ** e_i, r_o)
+            if abs(derive(geom).eta - 1.0) < 1.0e-3:
+                continue
+            out.append(geom)
+    return out
+
+
+def run_check(preset: str) -> CheckReport:
+    """Compare every closed form against its oracle over a deterministic grid.
+
+    Permeance vs adaptive Simpson quadrature per kind, analytic gradient vs
+    Richardson central differences per allowed (kind, mode) pair.
+    """
+    if preset not in _PRESETS:
+        raise UsageError(f"preset must be one of {sorted(_PRESETS)}, got {preset!r}")
+    import numpy as np
+
+    cfg = _PRESETS[preset]
+    rng = np.random.default_rng(cfg["seed"])
+    # (label, kind, mode); mode None checks the permeance itself.
+    plan = [(f"permeance {kind.value}", kind, None) for kind in FluxTubeKind]
+    plan += [(f"gradient {kind.value} {mode.value}", kind, mode) for kind in FluxTubeKind
+             for mode in sorted(allowed_modes(kind), key=lambda m: m.value)]
+    entries: list[CheckEntry] = []
+    for label, kind, mode in plan:
+        worst, worst_geom = 0.0, None
+        geoms = _sample_geometries(kind, cfg["n_permeance" if mode is None else "n_gradient"], rng)
+        if mode is None:
+            errs = [r.rel_error if r.converged else math.inf
+                    for r in permeance_quadrature(kind, geoms)]
+        else:
+            errs = []
+            for geom in geoms:
+                fd = gradient_fd(kind, mode, geom)
+                errs.append(abs(permeance_gradient(kind, mode, geom) - fd) / abs(fd))
+        for geom, err in zip(geoms, errs):
+            if err >= worst:
+                worst, worst_geom = err, geom
+        bound = PERMEANCE_BOUND if mode is None else GRADIENT_BOUND
+        entries.append(CheckEntry(label, len(geoms), worst, bound, worst_geom))
+    return CheckReport(preset, entries)

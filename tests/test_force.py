@@ -579,3 +579,24 @@ def test_sweep_force_refuses_an_overflowing_default_legacy_width():
     given = ActuatorSweepSpec(kind=FluxTubeKind.OUTER_HALF, mode=DriveMode.CONST_THICKNESS,
                               R=3e307, t=1.0, start=1.0, stop=3.0, samples=3, legacy_width=1.0)
     assert all(math.isfinite(row.gm_legacy) for row in sweep_force(given))
+
+
+@pytest.mark.parametrize("vm, message", [
+    (10**400, "magnetic tension must be finite, got inf"),
+    (-10**400, "magnetic tension must be finite, got -inf"),
+    ("1", "magnetic tension must be a real number, got '1'"),
+    (None, "magnetic tension must be a real number, got None"),
+    (True, "magnetic tension must be a real number, got True"),
+    (math.nan, "magnetic tension must be finite, got nan"),
+], ids=["10**400", "-10**400", "str", "None", "bool", "nan"])
+def test_force_gives_one_message_per_invalid_tension(vm, message):
+    with pytest.raises(DomainError) as info:
+        force(vm, FluxTubeKind.OUTER_HALF, DriveMode.CONST_THICKNESS, TorusGeometry(1.0, 0.5, 1.0))
+    assert str(info.value) == message
+
+
+def test_force_reads_an_int_tension_as_its_float():
+    geom = TorusGeometry(1.0, 0.5, 1.0)
+    for vm in (3, 2**60, -7):
+        assert force(vm, FluxTubeKind.OUTER_HALF, DriveMode.CONST_THICKNESS, geom) == \
+            force(float(vm), FluxTubeKind.OUTER_HALF, DriveMode.CONST_THICKNESS, geom)

@@ -19,7 +19,8 @@ import random
 
 import pytest
 
-from toroflux import DriveMode, FluxTubeKind, TorusGeometry, force, permeance, permeance_gradient
+from toroflux import (DriveMode, FluxTubeKind, TorusGeometry, allowed_modes, force, gradient_fd,
+                      permeance, permeance_gradient)
 from toroflux.cli import main
 
 
@@ -73,6 +74,18 @@ def _library(fn, with_mode):
     return lines
 
 
+def _gradient_fd():
+    # allowed_modes is a frozenset: iterate kinds and modes in a fixed order.
+    lines = []
+    for R, r_i, r_o in GEOMETRIES:
+        geom = TorusGeometry(R, r_i, r_o)
+        for kind in FluxTubeKind:
+            for mode in MODES:
+                if mode in allowed_modes(kind):
+                    lines.append(_outcome(gradient_fd, kind, mode, geom))
+    return lines
+
+
 def _cli(*argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -84,6 +97,7 @@ GROUPS = {
     "permeance": lambda: _library(permeance, False),
     "force": lambda: _library(lambda k, m, g: force(1.0, k, m, g), True),
     "permeance_gradient": lambda: _library(permeance_gradient, True),
+    "gradient_fd": _gradient_fd,
     "cli sweep-force default": lambda: _cli("sweep-force"),
     "cli sweep-force outer-quarter const-ro theta 1.7": lambda: _cli(
         "sweep-force", "--kind", "outer-quarter", "--mode", "const-ro", "--ro", "0.02",
@@ -92,6 +106,7 @@ GROUPS = {
         "sweep-permeance", "--kind", "inner-half", "--R", "0.001", "--family",
         "0.1,0.2,0.4,0.8", "--range", "log:0.01:1.0:60", "--normalized"),
     "cli check quick": lambda: _cli("check", "--preset", "quick"),
+    "cli check full": lambda: _cli("check", "--preset", "full"),
     "cli sweep-force inner-quarter const-ri vanished and frozen": lambda: _cli(
         "sweep-force", "--kind", "inner-quarter", "--mode", "const-ri", "--R", "0.01",
         "--ri", "0.004", "--range", "lin:0.001:0.02:120"),
@@ -119,6 +134,8 @@ GOLDEN = {
         "e8f93ac4f7665849ebc15b682c7ed808e90d25d533de550c324edcc419e41062",
     "permeance_gradient":
         "8a07668f9c37c9a8cba79ec6a50b1c4781b8f5d1c54c470bb524ed1bd351cbf4",
+    "gradient_fd":
+        "8f3b9a86b7179d225a3276c53f3b2abfade4c7be3cf900336180b3713109924e",
     "cli sweep-force default":
         "1e471cb67d5e695cf2c9f9ed5d2c8925c3fd85576d42eb58e1e8a31060c2eaf0",
     "cli sweep-force outer-quarter const-ro theta 1.7":
@@ -127,6 +144,8 @@ GOLDEN = {
         "2b115eaa570bda168762f84b54d933120172acca440f548b3294c765bf44012c",
     "cli check quick":
         "bf8af80552bb7c27c13d2a2d7000156cd40350dda4462bccbad324cd1260aaf7",
+    "cli check full":
+        "26ed0acc2852d9e6b80ef88904b117d1666521017c3283d8cdfc43c9115cc803",
     "cli sweep-force inner-quarter const-ri vanished and frozen":
         "3c4cc483127531b910088d95bf76f8d5caec61bc7b61cd5bf51a159c0004d2a6",
     "cli sweep-force outer-quarter const-t across eta = 1":

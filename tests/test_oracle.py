@@ -302,3 +302,64 @@ def test_gradient_fd_quadruple_convention_for_quarters():
     half_fd = gradient_fd(FluxTubeKind.INNER_HALF, DriveMode.CONST_THICKNESS, geom)
     quarter_fd = gradient_fd(FluxTubeKind.INNER_QUARTER, DriveMode.CONST_THICKNESS, geom)
     assert quarter_fd == pytest.approx(4.0 * half_fd, rel=1e-9)
+
+
+@pytest.mark.parametrize("rel_tol", [math.nan, 0.0, -1e-12, 1e-3])
+def test_adaptive_simpson_refuses_a_bad_tolerance_before_integrating(rel_tol):
+    calls = []
+
+    def f(x):
+        calls.append(len(x))
+        return 1.0 / (2.0 + np.sin(x))
+
+    # A small depth: a tolerance that is never met doubles the mesh at every level.
+    with pytest.raises(UsageError, match="rel_tol"):
+        adaptive_simpson(f, 0.0, math.pi, rel_tol=rel_tol, max_depth=12)
+    assert calls == []
+
+
+@pytest.mark.parametrize("max_depth", [10.5, 12.0, True, "12"])
+def test_max_depth_must_be_an_integer(max_depth):
+    with pytest.raises(UsageError, match="max_depth must be an integer >= 10"):
+        QuadratureConfig(max_depth=max_depth)
+    with pytest.raises(UsageError, match="max_depth"):
+        adaptive_simpson(np.sin, 0.0, math.pi, max_depth=max_depth)
+
+
+def test_max_depth_takes_a_numpy_integer():
+    assert QuadratureConfig(max_depth=np.int64(12)).max_depth == 12
+    value, ok = adaptive_simpson(np.sin, 0.0, math.pi, max_depth=np.int64(12))
+    assert ok and value == pytest.approx(2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("h, shown", [(0.0, "0.0"), (0, "0.0"), (-1e-9, "-1e-09"),
+                                      (math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan"),
+                                      (10**400, "inf")],
+                         ids=["0.0", "0", "-1e-9", "inf", "-inf", "nan", "10**400"])
+def test_gradient_fd_refuses_a_step_that_is_not_finite_and_positive(h, shown):
+    geom = TorusGeometry(1.0, 0.2, 0.8)
+    for kind, mode in ((FluxTubeKind.OUTER_HALF, DriveMode.CONST_THICKNESS),
+                       (FluxTubeKind.INNER_QUARTER, DriveMode.CONST_INNER_RADIUS)):
+        with pytest.raises(UsageError) as info:
+            gradient_fd(kind, mode, geom, h=h)
+        assert str(info.value) == f"h must be finite and positive, got {shown}"
+
+
+def test_gradient_fd_stencil_map_is_the_kernels_path():
+    # The oracle's own map from (mode, fixed, v) back to a geometry gives the
+    # kernel's sweep geometry bit for bit.
+    import random
+
+    from toroflux import ActuatorSweepSpec
+
+    rng = random.Random(29)
+    held = {DriveMode.CONST_OUTER_RADIUS: "r_o", DriveMode.CONST_THICKNESS: "t",
+            DriveMode.CONST_INNER_RADIUS: "r_i"}
+    for _ in range(3000):
+        mode = rng.choice(list(held))
+        R, fixed = 10.0 ** rng.uniform(-6.0, 2.0), 10.0 ** rng.uniform(-6.0, 2.0)
+        v = fixed * 10.0 ** rng.uniform(-4.0, 4.0)
+        spec = ActuatorSweepSpec(FluxTubeKind.INNER_QUARTER, mode, R, 1.0, 2.0,
+                                 **{held[mode]: fixed})
+        ours, kernel = toroflux.oracle._geometry_from(mode, R, fixed, v), spec.geometry_at(v)
+        assert (ours.R, ours.r_i, ours.r_o) == (kernel.R, kernel.r_i, kernel.r_o)
